@@ -1,27 +1,26 @@
 /**
  * @file
- * Simulator-speed benchmark: tick vs. event engine, exact vs.
- * fast-forward.
+ * Simulator-speed benchmark: tick vs. event engine.
  *
  * Unlike the bench_fig* binaries (whose metric is the simulated cycle
  * count), this harness measures the *simulator's own* wall-clock
- * throughput. Every Figure 1 workload below runs three times on the
- * same operands:
+ * throughput. Every Figure 1 workload below runs under both engines on
+ * the same operands:
  *
- *  - `engine = TICK`, `fast_forward = OFF`: the original
- *    tick-everything exact loop (the pre-event-engine reference),
- *  - `engine = EVENT`, `fast_forward = OFF`: exact mode on the wakeup
- *    scheduler (steady idle spans skipped in closed form),
- *  - `engine = EVENT`, `fast_forward = ON`: the fast-forward engine.
+ *  - `engine = TICK`: the reference tick-everything per-cycle loop,
+ *  - `engine = EVENT`: the wakeup scheduler (steady spans skipped in
+ *    exact closed form).
  *
- * The harness panics unless all three modes produce bit-identical
+ * The harness panics unless both engines produce bit-identical
  * results: same cycle count, same activity-counter snapshot, same
- * output tensor. The wall times, speedups and cycles/second go to
- * stdout and to BENCH_sim_speed.json; the CI perf-smoke job gates on
- * the exact-mode S-EC throughput.
+ * output tensor. Each engine runs one untimed warm-up, then kReps timed
+ * runs interleaved with the other engine's; the median wall time, with
+ * min and max as the spread, and the median per-pair speedup go to
+ * stdout and to BENCH_sim_speed.json. The CI perf-smoke job gates on
+ * the event engine's S-EC throughput at the median.
  *
- * The workload points run concurrently over the SweepRunner thread
- * pool (each point owns its Stonne instances).
+ * Points are timed serially on one sweep thread, so the figures do not
+ * depend on how many cores the host has.
  */
 
 #include <algorithm>
@@ -45,13 +44,43 @@ namespace {
 using namespace stonne;
 using namespace stonne::bench;
 
-/** Wall times are min-of-N to shed scheduler noise. */
-constexpr int kReps = 3;
+/** Timed repetitions per engine, after one untimed warm-up. */
+constexpr int kReps = 31;
+
+/** Median and range of a sample (wall times, or speedup ratios). */
+struct Spread {
+    double median = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+};
+
+Spread
+spreadOf(std::vector<double> sample)
+{
+    std::sort(sample.begin(), sample.end());
+    return {sample[sample.size() / 2], sample.front(), sample.back()};
+}
+
+JsonValue
+spreadJson(const Spread &s)
+{
+    JsonValue o = JsonValue::makeObject();
+    o.set("median", s.median);
+    o.set("min", s.min);
+    o.set("max", s.max);
+    return o;
+}
+
+double
+cyclesPerSecond(cycle_t cycles, double wall)
+{
+    return wall > 0.0 ? static_cast<double>(cycles) / wall : 0.0;
+}
 
 struct Workload {
     std::string name;   //!< point label, e.g. "S-EC @ maeri-128/bw8"
     std::string tag;    //!< Figure 1 layer tag
-    HardwareConfig cfg; //!< base config; fast_forward overridden per run
+    HardwareConfig cfg; //!< base config; engine overridden per run
     double sparsity;
 };
 
@@ -85,15 +114,13 @@ struct ModeResult {
     SimulationResult sim;
     std::deque<StatCounter> counters;
     Tensor output;
-    double best_wall = 0.0; //!< min over kReps runs
+    Spread wall;
 };
 
 struct PointResult {
-    ModeResult tick;  //!< TICK engine, exact (pre-event-engine ref)
-    ModeResult exact; //!< EVENT engine, exact
-    ModeResult fast;  //!< EVENT engine, fast-forward
-    double exact_speedup = 0.0; //!< tick exact / event exact
-    double ff_speedup = 0.0;    //!< tick exact / event fast-forward
+    ModeResult tick;  //!< TICK engine (per-cycle reference)
+    ModeResult event; //!< EVENT engine
+    double speedup = 0.0; //!< median over reps of tick wall / event wall
 };
 
 const LayerSpec &
@@ -106,51 +133,78 @@ layerByTag(const std::string &tag)
     fatal("no Figure 1 layer tagged '", tag, "'");
 }
 
-ModeResult
-runMode(const Workload &w, const LayerData &data, EngineType engine,
-        bool fast_forward)
+/** One run of the point under `engine`; @return its wall seconds. */
+double
+runEngine(const Workload &w, const LayerData &data, EngineType engine,
+          ModeResult *keep = nullptr)
 {
-    ModeResult m;
-    for (int rep = 0; rep < kReps; ++rep) {
-        HardwareConfig cfg = w.cfg;
-        cfg.engine_type = engine;
-        cfg.fast_forward = fast_forward;
-        Stonne st(cfg);
-        const SimulationResult r = runLayer(st, layerByTag(w.tag), data);
-        if (rep == 0) {
-            m.sim = r;
-            m.counters = st.stats().counters();
-            m.output = st.output();
-            m.best_wall = r.wall_seconds;
-        } else {
-            m.best_wall = std::min(m.best_wall, r.wall_seconds);
-        }
+    HardwareConfig cfg = w.cfg;
+    cfg.engine_type = engine;
+    Stonne st(cfg);
+    const SimulationResult r = runLayer(st, layerByTag(w.tag), data);
+    if (keep != nullptr) {
+        keep->sim = r;
+        keep->counters = st.stats().counters();
+        keep->output = st.output();
     }
-    return m;
+    return r.wall_seconds;
+}
+
+/**
+ * One untimed warm-up per engine (kept for the parity check), then
+ * kReps timed pairs. The engines alternate which runs first and the
+ * speedup is the median of the per-pair ratios, so a host whose speed
+ * drifts during the sweep slows both sides of a pair alike.
+ */
+PointResult
+runPoint(const Workload &w, const LayerData &data)
+{
+    PointResult p;
+    (void)runEngine(w, data, EngineType::Tick, &p.tick);
+    (void)runEngine(w, data, EngineType::Event, &p.event);
+    std::vector<double> tick, event, ratio;
+    for (int rep = 0; rep < kReps; ++rep) {
+        double t = 0.0, e = 0.0;
+        if (rep % 2 == 0) {
+            t = runEngine(w, data, EngineType::Tick);
+            e = runEngine(w, data, EngineType::Event);
+        } else {
+            e = runEngine(w, data, EngineType::Event);
+            t = runEngine(w, data, EngineType::Tick);
+        }
+        tick.push_back(t);
+        event.push_back(e);
+        if (e > 0.0)
+            ratio.push_back(t / e);
+    }
+    p.tick.wall = spreadOf(std::move(tick));
+    p.event.wall = spreadOf(std::move(event));
+    p.speedup = ratio.empty() ? 0.0 : spreadOf(std::move(ratio)).median;
+    return p;
 }
 
 /** Panic unless the two modes were bit-identical on this point. */
 void
-checkParity(const Workload &w, const ModeResult &ref, const ModeResult &fast)
+checkParity(const Workload &w, const ModeResult &ref, const ModeResult &got)
 {
-    panicIf(ref.sim.cycles != fast.sim.cycles, "'", w.name,
+    panicIf(ref.sim.cycles != got.sim.cycles, "'", w.name,
             "': cycle mismatch (reference ", ref.sim.cycles,
-            ", compared mode ", fast.sim.cycles, ")");
-    panicIf(ref.counters.size() != fast.counters.size(), "'", w.name,
+            ", compared mode ", got.sim.cycles, ")");
+    panicIf(ref.counters.size() != got.counters.size(), "'", w.name,
             "': counter set size mismatch");
     for (std::size_t i = 0; i < ref.counters.size(); ++i) {
-        panicIf(ref.counters[i].name != fast.counters[i].name, "'", w.name,
+        panicIf(ref.counters[i].name != got.counters[i].name, "'", w.name,
                 "': counter order mismatch at '", ref.counters[i].name,
                 "'");
-        panicIf(ref.counters[i].value != fast.counters[i].value, "'",
+        panicIf(ref.counters[i].value != got.counters[i].value, "'",
                 w.name, "': counter '", ref.counters[i].name,
-                "' mismatch (reference ", ref.counters[i].value, ", fast ",
-                fast.counters[i].value, ")");
+                "' mismatch (reference ", ref.counters[i].value,
+                ", compared mode ", got.counters[i].value, ")");
     }
-    panicIf(ref.output.shape() != fast.output.shape(), "'", w.name,
+    panicIf(ref.output.shape() != got.output.shape(), "'", w.name,
             "': output shape mismatch");
     panicIf(ref.output.size() > 0 &&
-                std::memcmp(ref.output.data(), fast.output.data(),
+                std::memcmp(ref.output.data(), got.output.data(),
                             static_cast<std::size_t>(ref.output.size()) *
                                 sizeof(float)) != 0,
             "'", w.name, "': output tensor mismatch");
@@ -160,9 +214,9 @@ checkParity(const Workload &w, const ModeResult &ref, const ModeResult &fast)
  *  per-layer sweep above cannot reach). */
 struct ModelPoint {
     std::string name;
-    cycle_t cycles = 0;       //!< composed makespan (or total cycles)
-    double best_wall = 0.0;   //!< min-of-kReps simulator wall seconds
-    count_t dram_stalls = 0;  //!< summed shared-DRAM stall cycles
+    cycle_t cycles = 0;      //!< composed makespan (or total cycles)
+    Spread wall{};        //!< simulator wall seconds over kReps
+    count_t dram_stalls = 0; //!< summed shared-DRAM stall cycles
 };
 
 /** 2-core pipeline of SqueezeNet-tiny behind one shared DRAM channel. */
@@ -179,21 +233,21 @@ runMulticorePoint()
     cfg.partition = PartitionStrategy::Pipeline;
 
     ModelPoint p{"squeezenet-tiny x2 pipeline"};
-    for (int rep = 0; rep < kReps; ++rep) {
+    std::vector<double> walls;
+    for (int rep = 0; rep <= kReps; ++rep) {
         MulticoreRunner runner(model, cfg);
         const Tensor out = runner.run(input);
-        panicIf(!out.equals(runner.runNative(input)),
-                "multicore bench point diverged from the native path");
-        const double wall = runner.total().wall_seconds;
-        if (rep == 0) {
+        if (rep == 0) { // warm-up: checked, untimed
+            panicIf(!out.equals(runner.runNative(input)),
+                    "multicore bench point diverged from the native path");
             p.cycles = runner.makespanCycles();
-            p.best_wall = wall;
             for (index_t c = 0; c < cfg.cores; ++c)
                 p.dram_stalls += runner.arbiter().stallCycles(c);
         } else {
-            p.best_wall = std::min(p.best_wall, wall);
+            walls.push_back(runner.total().wall_seconds);
         }
     }
+    p.wall = spreadOf(std::move(walls));
     return p;
 }
 
@@ -208,19 +262,19 @@ runBatchPoint()
     const HardwareConfig cfg = HardwareConfig::maeriLike(128, 64);
 
     ModelPoint p{"squeezenet-tiny batch4"};
-    for (int rep = 0; rep < kReps; ++rep) {
+    std::vector<double> walls;
+    for (int rep = 0; rep <= kReps; ++rep) {
         ModelRunner runner(model, cfg);
         const Tensor out = runner.run(input);
-        panicIf(!out.equals(runner.runNative(input)),
-                "batch bench point diverged from the native path");
-        const SimulationResult total = runner.total();
-        if (rep == 0) {
-            p.cycles = total.cycles;
-            p.best_wall = total.wall_seconds;
+        if (rep == 0) { // warm-up: checked, untimed
+            panicIf(!out.equals(runner.runNative(input)),
+                    "batch bench point diverged from the native path");
+            p.cycles = runner.total().cycles;
         } else {
-            p.best_wall = std::min(p.best_wall, total.wall_seconds);
+            walls.push_back(runner.total().wall_seconds);
         }
     }
+    p.wall = spreadOf(std::move(walls));
     return p;
 }
 
@@ -235,7 +289,9 @@ main()
     // The recovering runner retries a failing point from its last
     // snapshot instead of aborting the sweep; a healthy run completes
     // every point on attempt 1 and the recovery summary records that.
-    RecoveringSweepRunner runner;
+    // One sweep thread: points are timed serially, never contending
+    // with each other for cores or memory bandwidth.
+    RecoveringSweepRunner runner(1);
     std::vector<RecoveringSweepRunner::Point> sweep;
     sweep.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -246,21 +302,8 @@ main()
                  w.cfg = cfg;
                  const LayerData data =
                      makeLayerData(layerByTag(w.tag), w.sparsity, 42);
-                 PointResult &p = results[i];
-                 p.tick = runMode(w, data, EngineType::Tick,
-                                  /*fast_forward=*/false);
-                 p.exact = runMode(w, data, EngineType::Event,
-                                   /*fast_forward=*/false);
-                 p.fast = runMode(w, data, EngineType::Event,
-                                  /*fast_forward=*/true);
-                 checkParity(w, p.tick, p.exact);
-                 checkParity(w, p.tick, p.fast);
-                 p.exact_speedup = p.exact.best_wall > 0.0
-                     ? p.tick.best_wall / p.exact.best_wall
-                     : 0.0;
-                 p.ff_speedup = p.fast.best_wall > 0.0
-                     ? p.tick.best_wall / p.fast.best_wall
-                     : 0.0;
+                 results[i] = runPoint(w, data);
+                 checkParity(w, results[i].tick, results[i].event);
              }});
     }
     const std::vector<PointOutcome> outcomes = runner.run(sweep);
@@ -270,38 +313,35 @@ main()
                 o.failures.empty() ? "unknown"
                                    : o.failures.back().cause.c_str());
 
-    banner("Simulator speed — tick vs. event engine (" +
-           std::to_string(runner.threadCount()) + " sweep threads)");
+    banner("Simulator speed — tick vs. event engine (median of " +
+           std::to_string(kReps) + " reps, serial)");
     TablePrinter t({"workload", "cycles", "tick wall [s]",
-                    "event wall [s]", "exact speedup", "ff wall [s]",
-                    "exact cycles/s"});
-    double max_exact_speedup = 0.0;
-    double max_ff_speedup = 0.0;
+                    "event wall [s]", "event min..max [s]", "speedup",
+                    "event cycles/s"});
+    double max_speedup = 0.0;
     for (std::size_t i = 0; i < points.size(); ++i) {
         const PointResult &p = results[i];
-        max_exact_speedup = std::max(max_exact_speedup, p.exact_speedup);
-        max_ff_speedup = std::max(max_ff_speedup, p.ff_speedup);
+        max_speedup = std::max(max_speedup, p.speedup);
         t.addRow({points[i].name,
                   TablePrinter::num(static_cast<count_t>(p.tick.sim.cycles)),
-                  TablePrinter::num(p.tick.best_wall, 4),
-                  TablePrinter::num(p.exact.best_wall, 4),
-                  TablePrinter::num(p.exact_speedup, 2),
-                  TablePrinter::num(p.fast.best_wall, 4),
-                  TablePrinter::num(p.exact.best_wall > 0.0
-                                        ? static_cast<double>(
-                                              p.exact.sim.cycles) /
-                                            p.exact.best_wall
-                                        : 0.0,
+                  TablePrinter::num(p.tick.wall.median, 5),
+                  TablePrinter::num(p.event.wall.median, 5),
+                  TablePrinter::num(p.event.wall.min, 5) + ".." +
+                      TablePrinter::num(p.event.wall.max, 5),
+                  TablePrinter::num(p.speedup, 2),
+                  TablePrinter::num(cyclesPerSecond(p.event.sim.cycles,
+                                                    p.event.wall.median),
                                     0)});
     }
     t.print();
-    std::printf("\nmax exact speedup: %.2fx, max fast-forward speedup: "
-                "%.2fx (parity held on all %zu points)\n",
-                max_exact_speedup, max_ff_speedup, points.size());
+    std::printf("\nmax event-engine speedup: %.2fx (parity held on all "
+                "%zu points)\n",
+                max_speedup, points.size());
 
     JsonValue j = JsonValue::makeObject();
     j.set("benchmark", std::string("sim_speed"));
     j.set("reps", static_cast<std::int64_t>(kReps));
+    j.set("warmup_reps", std::int64_t{1});
     j.set("sweep_threads",
           static_cast<std::uint64_t>(runner.threadCount()));
     JsonValue arr = JsonValue::makeArray();
@@ -314,46 +354,38 @@ main()
         o.set("dn_bandwidth", points[i].cfg.dn_bandwidth);
         o.set("sparsity", points[i].sparsity);
         o.set("cycles", static_cast<std::uint64_t>(p.tick.sim.cycles));
-        o.set("tick_exact_wall_seconds", p.tick.best_wall);
-        o.set("event_exact_wall_seconds", p.exact.best_wall);
-        o.set("fast_forward_wall_seconds", p.fast.best_wall);
-        o.set("exact_speedup", p.exact_speedup);
-        o.set("fast_forward_speedup", p.ff_speedup);
+        o["tick_wall_seconds"] = spreadJson(p.tick.wall);
+        o["event_wall_seconds"] = spreadJson(p.event.wall);
+        o.set("event_speedup", p.speedup);
+        // Both engines are exact; the key keeps its historical name
+        // because the CI throughput floor reads it.
         o.set("exact_cycles_per_second",
-              p.exact.best_wall > 0.0
-                  ? static_cast<double>(p.exact.sim.cycles) /
-                        p.exact.best_wall
-                  : 0.0);
-        o.set("fast_forward_cycles_per_second",
-              p.fast.best_wall > 0.0
-                  ? static_cast<double>(p.fast.sim.cycles) / p.fast.best_wall
-                  : 0.0);
+              cyclesPerSecond(p.event.sim.cycles, p.event.wall.median));
         o.set("parity", true);
         arr.append(std::move(o));
     }
     j["points"] = arr;
-    j.set("max_exact_speedup", max_exact_speedup);
-    j.set("max_fast_forward_speedup", max_ff_speedup);
+    j.set("max_event_speedup", max_speedup);
 
     // Full-model points: the multi-core and batched regimes.
     const std::vector<ModelPoint> model_points = {runMulticorePoint(),
                                                   runBatchPoint()};
-    TablePrinter mt({"model point", "cycles", "wall [s]", "cycles/s",
-                     "dram stalls"});
+    TablePrinter mt({"model point", "cycles", "wall [s]", "min..max [s]",
+                     "cycles/s", "dram stalls"});
     JsonValue marr = JsonValue::makeArray();
     for (const ModelPoint &p : model_points) {
         mt.addRow({p.name, TablePrinter::num(static_cast<count_t>(p.cycles)),
-                   TablePrinter::num(p.best_wall, 4),
-                   TablePrinter::num(p.best_wall > 0.0
-                                         ? static_cast<double>(p.cycles) /
-                                               p.best_wall
-                                         : 0.0,
+                   TablePrinter::num(p.wall.median, 4),
+                   TablePrinter::num(p.wall.min, 4) + ".." +
+                       TablePrinter::num(p.wall.max, 4),
+                   TablePrinter::num(cyclesPerSecond(p.cycles,
+                                                     p.wall.median),
                                      0),
                    TablePrinter::num(p.dram_stalls)});
         JsonValue o = JsonValue::makeObject();
         o.set("workload", p.name);
         o.set("cycles", static_cast<std::uint64_t>(p.cycles));
-        o.set("wall_seconds", p.best_wall);
+        o["wall_seconds"] = spreadJson(p.wall);
         o.set("dram_stall_cycles", static_cast<std::uint64_t>(p.dram_stalls));
         o.set("parity", true);
         marr.append(std::move(o));

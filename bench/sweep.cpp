@@ -67,7 +67,6 @@ RecoveringSweepRunner::run(const std::vector<Point> &points) const
                 if (a.degraded) {
                     // The execution-policy knobs are not structural, so
                     // the restore below still accepts the snapshot.
-                    cfg.fast_forward = false;
                     cfg.watchdog_cycles *= 4;
                 }
 

@@ -56,10 +56,9 @@ struct PointOutcome {
  * configuration is handed back with `checkpoint = ON` and a per-point
  * snapshot file, so a failed attempt resumes from the last layer/
  * operation boundary rather than from scratch; the final attempt runs
- * degraded — `fast_forward = OFF` and a 4x watchdog budget — to rule
- * out the execution-policy knobs as the failure cause (checkpoint
- * restore accepts that, policy keys are not structural). Per-point
- * attempt counts and failure causes land in the JSON summary.
+ * degraded with a 4x watchdog budget to outwait transient stalls
+ * (checkpoint restore accepts that, policy keys are not structural).
+ * Per-point attempt counts and failure causes land in the JSON summary.
  */
 class RecoveringSweepRunner
 {

@@ -7,13 +7,9 @@
  * bandwidth, and the controller retries the remainder — the stall
  * mechanism that separates STONNE's timing from the analytical models.
  *
- * When fast-forwarding is enabled and no fault injector is attached the
- * loop is in steady state: every cycle moves exactly
- * min(dn_bandwidth, gb_read_bandwidth) elements, so all but the final
- * (possibly partial) cycle can be skipped with closed-form bulkAdvance()
- * counter arithmetic. The final cycle always executes through the exact
- * per-cycle path so trailing per-cycle state (budgets, issue slots) is
- * bit-identical by construction.
+ * These loops step every cycle through virtual dispatch: they are what
+ * `engine = TICK` runs, the per-cycle reference the event engine's
+ * steady-state skip (engine/event_engine.hpp) is held bit-identical to.
  */
 
 #ifndef STONNE_CONTROLLER_DELIVERY_HPP
@@ -68,15 +64,6 @@ countFresh(const std::vector<std::int64_t> &cur,
  * flits after DN acceptance: dropped flits stay in `remaining` and are
  * retransmitted on a later cycle, stretching the delivery.
  *
- * With `fast_forward` set and no fault injector, the steady-state prefix
- * is skipped in O(1): the per-cycle grant is the constant
- * min(dn.bandwidth(), gb.readBandwidth()), so the first n-1 of the
- * n = ceil(count / grant) cycles are accounted with bulkAdvance() and
- * only the final cycle runs through the exact loop. Cycle counts, stats
- * and watchdog state are bit-identical to the per-cycle path. Any fault
- * injector forces the exact loop: dropFlits() consumes the seeded RNG
- * stream per cycle and must observe every cycle to stay reproducible.
- *
  * @return the number of cycles the delivery occupied.
  */
 inline cycle_t
@@ -84,7 +71,6 @@ deliverElements(DistributionNetwork &dn, GlobalBuffer &gb, index_t count,
                 index_t fanout, PackageKind kind,
                 Watchdog *watchdog = nullptr,
                 FaultInjector *faults = nullptr,
-                bool fast_forward = false,
                 Tracer *trace = nullptr)
 {
     // Guards are open-coded `if (...) panic(...)`: panicIf evaluates
@@ -104,33 +90,13 @@ deliverElements(DistributionNetwork &dn, GlobalBuffer &gb, index_t count,
 
     // Queue-occupancy telemetry (dn.inject_queue_occ): the backlog
     // integral of the whole delivery, accounted up front in closed form
-    // so exact and fast-forwarded runs see identical counter evolution
+    // so exact and skipped runs see identical counter evolution
     // (per-cycle attribution would diverge at sample boundaries inside
     // a skipped steady-state region).
     dn.accountBacklog(count, std::min(dn.bandwidth(), gb.readBandwidth()));
 
     cycle_t cycles = 0;
     index_t remaining = count;
-
-    if (fast_forward && faults == nullptr && remaining > 0) {
-        const index_t grant = std::min(dn.bandwidth(), gb.readBandwidth());
-        const cycle_t total = static_cast<cycle_t>(
-            (remaining + grant - 1) / grant);
-        if (total > 1) {
-            const cycle_t skip = total - 1;
-            const index_t moved = static_cast<index_t>(skip) * grant;
-            if (trace != nullptr)
-                trace->bulkBegin();
-            gb.bulkAdvance(skip, moved, 0);
-            dn.bulkAdvance(skip, moved, fanout, kind);
-            if (watchdog != nullptr)
-                watchdog->bulkTick(skip, static_cast<count_t>(grant));
-            if (trace != nullptr)
-                trace->bulkEnd(skip, "ff.delivery");
-            remaining -= moved;
-            cycles += skip;
-        }
-    }
 
     while (remaining > 0) {
         gb.nextCycle();
@@ -168,45 +134,24 @@ deliverElements(DistributionNetwork &dn, GlobalBuffer &gb, index_t count,
  * cycle — the write-side sibling of deliverElements(), shared by the
  * dense, sparse and SNAPEA controllers.
  *
- * Every cycle absorbs min(remaining, write_bandwidth) elements, so the
- * steady-state prefix fast-forwards exactly like delivery; the final
- * cycle always runs through the exact path.
+ * Every cycle absorbs min(remaining, write_bandwidth) elements.
  *
  * @return the number of cycles the drain occupied.
  */
 inline cycle_t
 drainOutputs(GlobalBuffer &gb, index_t count, Watchdog *watchdog = nullptr,
-             bool fast_forward = false, Tracer *trace = nullptr)
+             Tracer *trace = nullptr)
 {
     if (count < 0)
         panic("drain of ", count, " outputs through '", gb.name(),
               "': count must not be negative");
 
     // Write-queue occupancy telemetry (gb.write_queue_occ), closed form
-    // for the same exact-vs-fast-forward parity reason as delivery.
+    // for the same exact-vs-skipped parity reason as delivery.
     gb.accountDrainBacklog(count);
 
     cycle_t cycles = 0;
     index_t remaining = count;
-
-    if (fast_forward && remaining > 0) {
-        const index_t grant = gb.writeBandwidth();
-        const cycle_t total = static_cast<cycle_t>(
-            (remaining + grant - 1) / grant);
-        if (total > 1) {
-            const cycle_t skip = total - 1;
-            const index_t drained = static_cast<index_t>(skip) * grant;
-            if (trace != nullptr)
-                trace->bulkBegin();
-            gb.bulkAdvance(skip, 0, drained);
-            if (watchdog != nullptr)
-                watchdog->bulkTick(skip, static_cast<count_t>(grant));
-            if (trace != nullptr)
-                trace->bulkEnd(skip, "ff.drain");
-            remaining -= drained;
-            cycles += skip;
-        }
-    }
 
     while (remaining > 0) {
         gb.nextCycle();

@@ -29,10 +29,9 @@ DenseController::DenseController(const HardwareConfig &cfg,
                                  DistributionNetwork &dn,
                                  MultiplierArray &mn, ReductionNetwork &rn,
                                  GlobalBuffer &gb, Dram &dram,
-                                 Watchdog *watchdog, FaultInjector *faults,
-                                 Tracer *trace)
+                                 Watchdog *watchdog, Tracer *trace)
     : cfg_(cfg), engine_(engine), dn_(dn), mn_(mn), rn_(rn), gb_(gb),
-      dram_(dram), wd_(watchdog), faults_(faults), trace_(trace),
+      dram_(dram), wd_(watchdog), trace_(trace),
       mapper_(cfg.ms_size)
 {
     cfg_.validate();
@@ -149,8 +148,6 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
           steps_per_chunk * outs_per_step > cfg_.accumulator_size));
     const bool input_stationary =
         cfg_.dataflow == Dataflow::InputStationary;
-
-    const bool ff = fastForward();
 
     // Stage the input activations: traffic is accounted, but the
     // cycles are hidden by the double-buffered prefetch (the previous
@@ -308,7 +305,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                     const cycle_t w_cycles = engine_.deliver(
                         dn_, gb_, tg * tk * len,
                         tile.t_n * tile.t_x * tile.t_y,
-                        PackageKind::Weight, ff);
+                        PackageKind::Weight);
                     block_cycles += w_cycles > prev_fold_cycles
                         ? w_cycles - prev_fold_cycles : 0;
                     cycle_t fold_cycles = 0;
@@ -458,8 +455,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
 
                         setPhase("input streaming");
                         cycle_t dl = engine_.deliver(dn_, gb_, fresh, tk,
-                                                     PackageKind::Input,
-                                                     ff);
+                                                     PackageKind::Input);
 
                         const index_t active_vns = tg * tk * tn * tx * ty;
                         mn_.fireMultipliers(
@@ -477,16 +473,16 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                                 // psums round-trip through the GB and
                                 // re-enter via the MN forwarders.
                                 setPhase("psum spill");
-                                drain = engine_.drain(gb_, active_vns, ff);
+                                drain = engine_.drain(gb_, active_vns);
                                 mn_.forwardPsums(active_vns);
                                 if (f > 0)
                                     dl += engine_.deliver(
                                         dn_, gb_, active_vns, 1,
-                                        PackageKind::Psum, ff);
+                                        PackageKind::Psum);
                             }
                         } else {
                             setPhase("output drain");
-                            drain = engine_.drain(gb_, active_vns, ff);
+                            drain = engine_.drain(gb_, active_vns);
                         }
                         if (f + 1 == folds)
                             chunk_outputs += active_vns;
@@ -503,7 +499,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
 
                 if (folding && !psum_spill) {
                     setPhase("output drain");
-                    block_cycles += engine_.drain(gb_, chunk_outputs, ff);
+                    block_cycles += engine_.drain(gb_, chunk_outputs);
                 }
             }
 
@@ -648,9 +644,9 @@ DenseController::runGemmSystolic(const Tensor &a, const Tensor &b, Tensor &c)
         std::min(a.size() + b.size(), gb_.capacityElements()) * bpe);
 
     SystolicArray array(rows, cols, *popn, mn_, *lrn, gb_);
-    // The systolic inner run is closed-form in both execution modes;
-    // its whole region lands on the fast-forward track with the
-    // counter deltas attached.
+    // The systolic inner run is closed-form under both engines; its
+    // whole region lands on the closed-form track with the counter
+    // deltas attached.
     if (trace_ != nullptr)
         trace_->bulkBegin();
     const SystolicResult sr = array.run(a, b, c);
@@ -822,8 +818,6 @@ DenseController::runMaxPool(const LayerSpec &layer, const Tensor &input,
     const count_t mem0 = gb_.totalReads() + gb_.totalWrites();
     const count_t mult0 = mn_.multOps();
 
-    const bool ff = fastForward();
-
     setPhase("max pool streaming");
     const index_t positions = c.N * xo * yo;
     std::vector<std::int64_t> fetch, prev_fetch;
@@ -874,7 +868,7 @@ DenseController::runMaxPool(const LayerSpec &layer, const Tensor &input,
                     mn_.forwardOperands(distinct - fresh);
                 }
                 dl_total += engine_.deliver(dn_, gb_, fresh, 1,
-                                            PackageKind::Input, ff);
+                                            PackageKind::Input);
                 const index_t clusters = tkc * typ;
                 rn_.bulkReduce(clusters, len);
                 if (folds > 1 && rn_.supportsAccumulation())
@@ -883,7 +877,7 @@ DenseController::runMaxPool(const LayerSpec &layer, const Tensor &input,
                 have_prev = true;
             }
             setPhase("output drain");
-            const cycle_t drain = engine_.drain(gb_, tkc * typ, ff);
+            const cycle_t drain = engine_.drain(gb_, tkc * typ);
             setPhase("max pool streaming");
             res.cycles += std::max<cycle_t>({1, dl_total, drain});
         }

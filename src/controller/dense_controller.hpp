@@ -40,7 +40,6 @@ namespace stonne {
 
 class EventEngine;
 class Watchdog;
-class FaultInjector;
 class Tracer;
 
 /** mRNA-style fixed-tile dense memory controller. */
@@ -53,7 +52,6 @@ class DenseController : public Checkpointable
      *        place components are ticked from
      * @param watchdog optional progress watchdog ticked by the delivery
      *        and drain loops (owned by the Accelerator)
-     * @param faults optional fault injector applied to the flit stream
      * @param trace optional cycle-level tracer (owned by the
      *        Accelerator when `trace = ON`)
      */
@@ -61,7 +59,6 @@ class DenseController : public Checkpointable
                     DistributionNetwork &dn, MultiplierArray &mn,
                     ReductionNetwork &rn, GlobalBuffer &gb, Dram &dram,
                     Watchdog *watchdog = nullptr,
-                    FaultInjector *faults = nullptr,
                     Tracer *trace = nullptr);
 
     /**
@@ -140,18 +137,6 @@ class DenseController : public Checkpointable
                                  const Tensor &bias, index_t n, index_t ko,
                                  index_t ox, index_t oy);
 
-    /**
-     * Whether the steady-state fast path is eligible: requested by the
-     * configuration and no fault injector attached (fault injection
-     * consumes a seeded RNG stream per cycle, so every cycle must run
-     * through the exact loop to stay reproducible).
-     */
-    bool
-    fastForward() const
-    {
-        return cfg_.fast_forward && faults_ == nullptr;
-    }
-
     /** Change phase: watchdog reports see it, the tracer spans it. */
     void setPhase(const char *phase);
 
@@ -174,7 +159,6 @@ class DenseController : public Checkpointable
     GlobalBuffer &gb_;
     Dram &dram_;
     Watchdog *wd_;
-    FaultInjector *faults_;
     Tracer *trace_;
     Mapper mapper_;
     std::string phase_ = "idle";

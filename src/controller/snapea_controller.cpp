@@ -62,10 +62,9 @@ SnapeaController::SnapeaController(const HardwareConfig &cfg,
                                    DistributionNetwork &dn,
                                    MultiplierArray &mn, ReductionNetwork &rn,
                                    GlobalBuffer &gb, Dram &dram,
-                                   Watchdog *watchdog, FaultInjector *faults,
-                                   Tracer *trace)
+                                   Watchdog *watchdog, Tracer *trace)
     : cfg_(cfg), engine_(engine), dn_(dn), mn_(mn), rn_(rn), gb_(gb),
-      dram_(dram), wd_(watchdog), faults_(faults), trace_(trace),
+      dram_(dram), wd_(watchdog), trace_(trace),
       mapper_(cfg.ms_size)
 {
     cfg_.validate();
@@ -141,10 +140,6 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
     (void)dram_.transferCycles(
         std::min(input.size() + weights.size(),
                  gb_.capacityElements()) * bpe);
-
-    // Fault injection consumes a seeded RNG stream per cycle, so any
-    // attached injector forces the exact per-cycle loops.
-    const bool ff = cfg_.fast_forward && faults_ == nullptr;
 
     auto blocks = [](index_t total, index_t t) {
         return (total + t - 1) / t;
@@ -277,11 +272,11 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                     setPhase("sorted weight streaming");
                     cycle_t dl = engine_.deliver(
                         dn_, gb_, stream_elems, tn * tx * ty,
-                        PackageKind::Weight, ff);
+                        PackageKind::Weight);
                     setPhase("activation gather");
                     dl += engine_.deliver(
                         dn_, gb_, static_cast<index_t>(fetch.size()), 1,
-                        PackageKind::Input, ff);
+                        PackageKind::Input);
 
                     // Compute and sign-check.
                     index_t fired = 0;
@@ -341,7 +336,7 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                 // emit the non-positive value the ReLU will zero).
                 setPhase("output drain");
                 res.cycles += engine_.drain(
-                    gb_, static_cast<index_t>(vns.size()), ff);
+                    gb_, static_cast<index_t>(vns.size()));
                 for (const VnState &v : vns)
                     output.at(v.n, v.ko, v.ox, v.oy) = v.psum;
             }

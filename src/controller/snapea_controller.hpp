@@ -60,7 +60,6 @@ struct SnapeaReorderTable {
 
 class EventEngine;
 class Watchdog;
-class FaultInjector;
 class Tracer;
 
 /** SNAPEA-like controller with early negative cut-off (exact mode). */
@@ -73,7 +72,6 @@ class SnapeaController : public Checkpointable
      *        place components are ticked from
      * @param watchdog optional progress watchdog ticked by the delivery
      *        and drain loops (owned by the Accelerator)
-     * @param faults optional fault injector applied to the flit stream
      * @param trace optional cycle-level tracer (owned by the
      *        Accelerator when `trace = ON`)
      */
@@ -81,7 +79,6 @@ class SnapeaController : public Checkpointable
                      DistributionNetwork &dn, MultiplierArray &mn,
                      ReductionNetwork &rn, GlobalBuffer &gb, Dram &dram,
                      Watchdog *watchdog = nullptr,
-                     FaultInjector *faults = nullptr,
                      Tracer *trace = nullptr);
 
     /**
@@ -124,7 +121,6 @@ class SnapeaController : public Checkpointable
     GlobalBuffer &gb_;
     Dram &dram_;
     Watchdog *wd_;
-    FaultInjector *faults_;
     Tracer *trace_;
     Mapper mapper_;
     std::string phase_ = "idle";

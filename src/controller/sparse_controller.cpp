@@ -14,10 +14,9 @@ SparseController::SparseController(const HardwareConfig &cfg,
                                    DistributionNetwork &dn,
                                    MultiplierArray &mn, ReductionNetwork &rn,
                                    GlobalBuffer &gb, Dram &dram,
-                                   Watchdog *watchdog, FaultInjector *faults,
-                                   Tracer *trace)
+                                   Watchdog *watchdog, Tracer *trace)
     : cfg_(cfg), engine_(engine), dn_(dn), mn_(mn), rn_(rn), gb_(gb),
-      dram_(dram), wd_(watchdog), faults_(faults), trace_(trace)
+      dram_(dram), wd_(watchdog), trace_(trace)
 {
     cfg_.validate();
     fatalIf(cfg_.controller_type != ControllerType::Sparse,
@@ -72,17 +71,13 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
     if (trace_ != nullptr)
         trace_->advance(fill);
 
-    // Fault injection consumes a seeded RNG stream per cycle, so any
-    // attached injector forces the exact per-cycle loops.
-    const bool ff = cfg_.fast_forward && faults_ == nullptr;
-
     std::vector<index_t> union_k;
     union_k.reserve(static_cast<std::size_t>(cfg_.ms_size));
     for (const SparseRound &round : rounds_) {
         // Stationary non-zeros enter through the Benes (unicast).
         setPhase("stationary nnz load");
         res.cycles += engine_.deliver(dn_, gb_, round.nnz, 1,
-                                      PackageKind::Weight, ff);
+                                      PackageKind::Weight);
 
         // Streaming operands: the union of column indices the mapped
         // segments need; shared indices are multicast.
@@ -130,9 +125,9 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
 
             setPhase("streaming operand multicast");
             const cycle_t dl = engine_.deliver(dn_, gb_, needed, 1,
-                                               PackageKind::Input, ff);
+                                               PackageKind::Input);
             setPhase("output drain");
-            const cycle_t drain = engine_.drain(gb_, completions, ff);
+            const cycle_t drain = engine_.drain(gb_, completions);
 
             mn_.fireMultipliers(std::min(fired, cfg_.ms_size));
             res.macs += static_cast<count_t>(fired);

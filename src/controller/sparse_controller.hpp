@@ -30,7 +30,6 @@ namespace stonne {
 
 class EventEngine;
 class Watchdog;
-class FaultInjector;
 class Tracer;
 
 /** SIGMA-style sparse memory controller. */
@@ -43,7 +42,6 @@ class SparseController : public Checkpointable
      *        place components are ticked from
      * @param watchdog optional progress watchdog ticked by the delivery
      *        and drain loops (owned by the Accelerator)
-     * @param faults optional fault injector applied to the flit stream
      * @param trace optional cycle-level tracer (owned by the
      *        Accelerator when `trace = ON`)
      */
@@ -51,7 +49,6 @@ class SparseController : public Checkpointable
                      DistributionNetwork &dn, MultiplierArray &mn,
                      ReductionNetwork &rn, GlobalBuffer &gb, Dram &dram,
                      Watchdog *watchdog = nullptr,
-                     FaultInjector *faults = nullptr,
                      Tracer *trace = nullptr);
 
     /**
@@ -112,7 +109,6 @@ class SparseController : public Checkpointable
     GlobalBuffer &gb_;
     Dram &dram_;
     Watchdog *wd_;
-    FaultInjector *faults_;
     Tracer *trace_;
     std::vector<SparseRound> rounds_;
     std::string phase_ = "idle";

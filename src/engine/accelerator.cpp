@@ -84,17 +84,17 @@ Accelerator::Accelerator(const HardwareConfig &cfg)
       case ControllerType::Dense:
         dense_ = std::make_unique<DenseController>(
             cfg_, *engine_, *dn_, *mn_, *rn_, *gb_, *dram_,
-            watchdog_.get(), faults_.get(), trace_.get());
+            watchdog_.get(), trace_.get());
         break;
       case ControllerType::Sparse:
         sparse_ = std::make_unique<SparseController>(
             cfg_, *engine_, *dn_, *mn_, *rn_, *gb_, *dram_,
-            watchdog_.get(), faults_.get(), trace_.get());
+            watchdog_.get(), trace_.get());
         break;
       case ControllerType::Snapea:
         snapea_ = std::make_unique<SnapeaController>(
             cfg_, *engine_, *dn_, *mn_, *rn_, *gb_, *dram_,
-            watchdog_.get(), faults_.get(), trace_.get());
+            watchdog_.get(), trace_.get());
         break;
     }
 
@@ -248,7 +248,7 @@ Accelerator::restore(ArchiveReader &ar)
     const HardwareConfig snap_cfg =
         HardwareConfig::parse(snap_text, "<checkpoint>");
     // Snapshots restore across differing execution-policy knobs
-    // (fast-forward, watchdog, trace/checkpoint destinations, dse
+    // (engine, watchdog, trace/checkpoint destinations, dse
     // tuning) but never across architectural changes.
     if (snap_cfg.structuralText() != cfg_.structuralText())
         ar.fail("the snapshot was taken on accelerator '" +

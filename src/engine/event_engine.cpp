@@ -78,13 +78,11 @@ EventEngine::clampToBudget(cycle_t skip) const
 
 cycle_t
 EventEngine::deliver(DistributionNetwork &dn, GlobalBuffer &gb,
-                     index_t count, index_t fanout, PackageKind kind,
-                     bool fast_forward)
+                     index_t count, index_t fanout, PackageKind kind)
 {
     if (mode_ == EngineType::Tick) {
-        const cycle_t cycles =
-            deliverElements(dn, gb, count, fanout, kind, watchdog_,
-                            faults_, fast_forward, trace_);
+        const cycle_t cycles = deliverElements(dn, gb, count, fanout, kind,
+                                               watchdog_, faults_, trace_);
         noteSpan(Delivery, cycles);
         return cycles;
     }
@@ -103,65 +101,40 @@ EventEngine::deliver(DistributionNetwork &dn, GlobalBuffer &gb,
 
     // Backlog integral up front, in closed form — identical counter
     // evolution on every path (see deliverElements()).
-    dn.accountBacklog(count,
-                      std::min(dn.bandwidth(), gb.readBandwidth()));
+    const index_t grant = std::min(dn.bandwidth(), gb.readBandwidth());
+    dn.accountBacklog(count, grant);
 
     cycle_t cycles = 0;
     index_t remaining = count;
+    const cycle_t total =
+        static_cast<cycle_t>((remaining + grant - 1) / grant);
 
     if (remaining > 0 && skipInhibited()) {
         // Multicore contention gate closed: a sibling core overlaps
         // this span in simulated time, so the whole delivery is
         // stepped exactly below. Count the cycles the gate cost.
-        const index_t grant =
-            std::min(dn.bandwidth(), gb.readBandwidth());
-        gated_cycles_ +=
-            static_cast<cycle_t>((remaining + grant - 1) / grant);
-    } else if (faults_ == nullptr && remaining > 0) {
-        const index_t grant =
-            std::min(dn.bandwidth(), gb.readBandwidth());
-        const cycle_t total =
-            static_cast<cycle_t>((remaining + grant - 1) / grant);
-        if (total > 1 && fast_forward) {
-            // Legacy fast-forward span, replicated byte for byte:
-            // the region is recorded on the tracer's fast-forward
-            // track and the watchdog advances before the trace
-            // bracket closes.
-            const cycle_t skip = total - 1;
+        gated_cycles_ += total;
+    } else if (faults_ == nullptr && total > 1 &&
+               skipAllowed(dn.nextActiveCycle())) {
+        // Exact steady skip: no span event is recorded, counters and
+        // trace samples land exactly where per-cycle stepping puts
+        // them, and the skip is clamped so a cycle-budget abort fires
+        // on the same cycle with the same state. The tracer advances
+        // before the watchdog may throw — the order the exact loop
+        // commits each cycle in.
+        const cycle_t skip = clampToBudget(total - 1);
+        if (skip > 0) {
             const index_t moved = static_cast<index_t>(skip) * grant;
             if (trace_ != nullptr)
-                trace_->bulkBegin();
+                trace_->steadyBegin();
             gb.bulkAdvance(skip, moved, 0);
             dn.bulkAdvance(skip, moved, fanout, kind);
+            if (trace_ != nullptr)
+                trace_->steadyEnd(skip);
             if (watchdog_ != nullptr)
                 watchdog_->bulkTick(skip, static_cast<count_t>(grant));
-            if (trace_ != nullptr)
-                trace_->bulkEnd(skip, "ff.delivery");
             remaining -= moved;
             cycles += skip;
-        } else if (total > 1 && skipAllowed(dn.nextActiveCycle())) {
-            // Exact steady skip: no span event is recorded, counters
-            // and trace samples land exactly where per-cycle stepping
-            // puts them, and the skip is clamped so a cycle-budget
-            // abort fires on the same cycle with the same state. The
-            // tracer advances before the watchdog may throw — the
-            // order the exact loop commits each cycle in.
-            const cycle_t skip = clampToBudget(total - 1);
-            if (skip > 0) {
-                const index_t moved =
-                    static_cast<index_t>(skip) * grant;
-                if (trace_ != nullptr)
-                    trace_->steadyBegin();
-                gb.bulkAdvance(skip, moved, 0);
-                dn.bulkAdvance(skip, moved, fanout, kind);
-                if (trace_ != nullptr)
-                    trace_->steadyEnd(skip);
-                if (watchdog_ != nullptr)
-                    watchdog_->bulkTick(skip,
-                                        static_cast<count_t>(grant));
-                remaining -= moved;
-                cycles += skip;
-            }
         }
     }
 
@@ -187,11 +160,10 @@ EventEngine::deliver(DistributionNetwork &dn, GlobalBuffer &gb,
 }
 
 cycle_t
-EventEngine::drain(GlobalBuffer &gb, index_t count, bool fast_forward)
+EventEngine::drain(GlobalBuffer &gb, index_t count)
 {
     if (mode_ == EngineType::Tick) {
-        const cycle_t cycles =
-            drainOutputs(gb, count, watchdog_, fast_forward, trace_);
+        const cycle_t cycles = drainOutputs(gb, count, watchdog_, trace_);
         noteSpan(Drain, cycles);
         return cycles;
     }
@@ -204,49 +176,30 @@ EventEngine::drain(GlobalBuffer &gb, index_t count, bool fast_forward)
 
     cycle_t cycles = 0;
     index_t remaining = count;
+    const index_t grant = gb.writeBandwidth();
+    const cycle_t total =
+        static_cast<cycle_t>((remaining + grant - 1) / grant);
 
     if (remaining > 0 && skipInhibited()) {
         // See deliver(): the gate pins the drain to the exact loop.
-        const index_t grant = gb.writeBandwidth();
-        gated_cycles_ +=
-            static_cast<cycle_t>((remaining + grant - 1) / grant);
-    } else if (remaining > 0) {
-        const index_t grant = gb.writeBandwidth();
-        const cycle_t total =
-            static_cast<cycle_t>((remaining + grant - 1) / grant);
-        if (total > 1 && fast_forward) {
-            // Legacy fast-forward drain span, byte for byte.
-            const cycle_t skip = total - 1;
+        gated_cycles_ += total;
+    } else if (total > 1) {
+        // Exact steady skip. Draining draws nothing from the fault
+        // injector's RNG stream, so the skip stays legal with faults
+        // attached — the exact loop would make the identical
+        // per-cycle progress.
+        const cycle_t skip = clampToBudget(total - 1);
+        if (skip > 0) {
             const index_t drained = static_cast<index_t>(skip) * grant;
             if (trace_ != nullptr)
-                trace_->bulkBegin();
+                trace_->steadyBegin();
             gb.bulkAdvance(skip, 0, drained);
+            if (trace_ != nullptr)
+                trace_->steadyEnd(skip);
             if (watchdog_ != nullptr)
                 watchdog_->bulkTick(skip, static_cast<count_t>(grant));
-            if (trace_ != nullptr)
-                trace_->bulkEnd(skip, "ff.drain");
             remaining -= drained;
             cycles += skip;
-        } else if (total > 1) {
-            // Exact steady skip. Draining draws nothing from the
-            // fault injector's RNG stream, so the skip stays legal
-            // with faults attached — the exact loop would make the
-            // identical per-cycle progress.
-            const cycle_t skip = clampToBudget(total - 1);
-            if (skip > 0) {
-                const index_t drained =
-                    static_cast<index_t>(skip) * grant;
-                if (trace_ != nullptr)
-                    trace_->steadyBegin();
-                gb.bulkAdvance(skip, 0, drained);
-                if (trace_ != nullptr)
-                    trace_->steadyEnd(skip);
-                if (watchdog_ != nullptr)
-                    watchdog_->bulkTick(skip,
-                                        static_cast<count_t>(grant));
-                remaining -= drained;
-                cycles += skip;
-            }
         }
     }
 

@@ -69,18 +69,15 @@ class EventEngine : public Checkpointable
     /**
      * Stream `count` same-kind, same-fanout elements from the GB
      * through the DN — the scheduler-owned replacement for
-     * deliverElements(). With `fast_forward` set (and no faults) the
-     * skipped span is recorded on the tracer's fast-forward track
-     * exactly like the legacy path; without it the span is skipped
-     * silently, byte-identical to exact per-cycle stepping. A fault
-     * injector pins the whole delivery to the exact loop (dropFlits()
-     * consumes the seeded RNG stream once per cycle).
+     * deliverElements(). The steady span is skipped silently,
+     * byte-identical to exact per-cycle stepping. A fault injector
+     * pins the whole delivery to the exact loop (dropFlits() consumes
+     * the seeded RNG stream once per cycle).
      *
      * @return the number of cycles the delivery occupied.
      */
     cycle_t deliver(DistributionNetwork &dn, GlobalBuffer &gb,
-                    index_t count, index_t fanout, PackageKind kind,
-                    bool fast_forward);
+                    index_t count, index_t fanout, PackageKind kind);
 
     /**
      * Drain `count` finished outputs through the GB write ports — the
@@ -90,7 +87,7 @@ class EventEngine : public Checkpointable
      *
      * @return the number of cycles the drain occupied.
      */
-    cycle_t drain(GlobalBuffer &gb, index_t count, bool fast_forward);
+    cycle_t drain(GlobalBuffer &gb, index_t count);
 
     /** Engine clock: total cycles scheduled across both streams. */
     cycle_t now() const { return now_; }
@@ -106,7 +103,7 @@ class EventEngine : public Checkpointable
      * core is in steady state. Because skipped and exact spans are
      * bit-identical (cycles, counters, outputs, trace samples), the
      * gate trades speed for conservatism, never results — per-core
-     * fast-forward parity holds with the gate open or closed.
+     * parity holds with the gate open or closed.
      */
     void setSkipInhibit(const bool *flag) { skip_inhibit_ = flag; }
 

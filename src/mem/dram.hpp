@@ -43,9 +43,7 @@ class Dram : public Checkpointable
 
     /**
      * Account `bytes` of traffic across `n_accesses` transfers without
-     * computing a duration — the counter side of transferCycles(),
-     * exposed for the fast-forward engine so skipped regions keep the
-     * DRAM traffic counters exact.
+     * computing a duration — the counter side of transferCycles().
      */
     void bulkAdvance(index_t bytes, count_t n_accesses);
 

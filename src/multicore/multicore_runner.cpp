@@ -110,8 +110,8 @@ MulticoreRunner::makeCoreConfig(index_t c) const
     if (cfg_.cores > 1 && cfg_.trace)
         cc.trace_file = cfg_.trace_file + ".core" + std::to_string(c);
     // fault_core routing: a targeted injector arms only its core; the
-    // siblings run fault-free (and keep fast-forward, faults disable
-    // it per instance).
+    // siblings run fault-free (and keep the steady-state delivery
+    // skip, which an injector disables per instance).
     if (cfg_.faults.enabled && cfg_.faults.core >= 0)
         cc.faults.enabled = cfg_.faults.core == static_cast<int>(c);
     cc.faults.core = -1;

@@ -31,21 +31,6 @@ MultiplierArray::fireMultipliers(index_t n)
 }
 
 void
-MultiplierArray::bulkAdvance(cycle_t n_cycles, index_t n_mults)
-{
-    panicIf(n_mults < 0, "negative bulk multiplier count ", n_mults);
-    panicIf(static_cast<count_t>(n_mults)
-                > n_cycles * static_cast<count_t>(ms_size_),
-            "bulk advance fired ", n_mults, " multipliers in ", n_cycles,
-            " cycles on an array of ", ms_size_);
-    mult_ops_->value += static_cast<count_t>(n_mults);
-    // Steady state: every skipped cycle fired multipliers, matching one
-    // fireMultipliers(n_mults / n_cycles) call per cycle.
-    if (n_mults > 0)
-        busy_cycles_->value += n_cycles;
-}
-
-void
 MultiplierArray::forwardOperands(index_t n)
 {
     panicIf(type_ != MnType::Linear,

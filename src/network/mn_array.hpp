@@ -31,14 +31,6 @@ class MultiplierArray final : public Unit
     /** Account `n` multiplications fired this cycle. */
     void fireMultipliers(index_t n);
 
-    /**
-     * Account `n_mults` multiplications spread over `n_cycles`
-     * steady-state cycles — the closed-form equivalent of calling
-     * fireMultipliers(n_mults / n_cycles) each cycle. Used by the
-     * fast-forward engine.
-     */
-    void bulkAdvance(cycle_t n_cycles, index_t n_mults);
-
     /** Account `n` operand hand-offs over neighbour forwarding links.
      *  Only legal on the linear topology. */
     void forwardOperands(index_t n);

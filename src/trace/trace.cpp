@@ -20,8 +20,8 @@ constexpr std::size_t kMaxEvents = 10'000'000;
 /**
  * Value of a counter `k` cycles into a region of `cycles` cycles whose
  * value moved from `pre` to `post`. Exact whenever the delta divides
- * the region length — always true for fast-forwarded steady state, so
- * exact and fast-forward runs sample identical values.
+ * the region length — always true for steady state, so exact and
+ * skipped spans sample identical values.
  */
 count_t
 interpolate(count_t pre, count_t post, cycle_t cycles, cycle_t k)
@@ -170,7 +170,7 @@ Tracer::bulkEnd(cycle_t cycles, const char *what)
     span.name = what;
     span.ts = now_;
     span.dur = cycles;
-    span.track = kFastForwardTrack;
+    span.track = kClosedFormTrack;
     for (std::size_t i = 0; i < post.size(); ++i) {
         const count_t pre = i < bulk_pre_.size() ? bulk_pre_[i] : 0;
         if (post[i] != pre)
@@ -302,7 +302,7 @@ Tracer::appendThreadMetasTo(JsonValue &list, index_t tid_base,
         list.append(std::move(m));
     };
     meta(kPhaseTrack, "controller phases");
-    meta(kFastForwardTrack, "fast-forward regions");
+    meta(kClosedFormTrack, "closed-form regions");
     meta(kEventTrack, "faults & watchdog");
 }
 
@@ -320,8 +320,8 @@ Tracer::appendEventsTo(JsonValue &list, index_t tid_base,
         switch (ev.kind) {
           case TraceEvent::Kind::Span: {
             e.set("ph", "X");
-            e.set("cat", ev.track == kFastForwardTrack
-                             ? "fastforward" : "phase");
+            e.set("cat", ev.track == kClosedFormTrack
+                             ? "closedform" : "phase");
             e.set("tid", static_cast<std::int64_t>(tid_base + ev.track));
             e.set("dur", static_cast<std::uint64_t>(ev.dur));
             if (!ev.args.empty()) {

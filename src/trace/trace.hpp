@@ -19,14 +19,15 @@
  * Perfetto or chrome://tracing) written through the JsonValue emitter;
  * timestamps are cycles, not microseconds.
  *
- * Fast-forward integration: a closed-form bulkAdvance() region is
+ * Closed-form regions: the dense controller's systolic inner run is
  * bracketed by bulkBegin()/bulkEnd(), which records the region as one
- * span on the fast-forward track carrying its counter deltas as args
- * and interpolates the sample boundaries inside the region. Steady
- * state means every counter advances by a constant per-cycle delta, so
- * the integer interpolation is exact and sample cycle-stamps and
- * values are bit-identical between exact and fast-forward runs; only
- * the fast-forward track itself differs (parity tests filter it).
+ * span on the closed-form track carrying its counter deltas as args
+ * and interpolates the sample boundaries inside it. The event engine's
+ * steady-state skips use steadyBegin()/steadyEnd(), which interpolate
+ * the same way but record no span. Steady state means every counter
+ * advances by a constant per-cycle delta, so the integer interpolation
+ * is exact: both engines record the identical event stream, closed-
+ * form track included (both run the systolic region in closed form).
  *
  * The trace clock advances inside the delivery/drain streaming loops
  * and the controllers' closed-form stalls. Controllers overlap
@@ -53,7 +54,7 @@ class JsonValue;
 /** One recorded trace event, pre-serialization. */
 struct TraceEvent {
     enum class Kind {
-        Span,    //!< "X" duration event (phase or fast-forward region)
+        Span,    //!< "X" duration event (phase or closed-form region)
         Counter, //!< "C" event carrying a windowed activity delta
         Gauge,   //!< "C" event carrying a per-cycle utilization value
         Instant, //!< "i" event (fault/watchdog occurrence)
@@ -66,7 +67,7 @@ struct TraceEvent {
     index_t track = 0;   //!< tid the event renders on
     count_t value = 0;   //!< Counter delta / Instant payload
     double dvalue = 0.0; //!< Gauge value
-    /** Fast-forward span only: per-counter deltas of the region. */
+    /** Closed-form span only: per-counter deltas of the region. */
     std::vector<std::pair<std::string, count_t>> args;
 };
 
@@ -81,8 +82,8 @@ class Tracer : public Checkpointable
   public:
     /** tid of controller phase spans. */
     static constexpr index_t kPhaseTrack = 1;
-    /** tid of fast-forwarded region spans (differs between modes). */
-    static constexpr index_t kFastForwardTrack = 2;
+    /** tid of closed-form region spans (the systolic inner run). */
+    static constexpr index_t kClosedFormTrack = 2;
     /** tid of fault/watchdog instant events. */
     static constexpr index_t kEventTrack = 3;
 
@@ -117,12 +118,12 @@ class Tracer : public Checkpointable
      */
     void advance(cycle_t cycles);
 
-    /** Mark the start of a fast-forwarded bulkAdvance() region. */
+    /** Mark the start of a closed-form region. */
     void bulkBegin();
 
     /**
-     * Close a fast-forwarded region of `cycles` cycles: one span on
-     * the fast-forward track carries the region's counter deltas, and
+     * Close a closed-form region of `cycles` cycles: one span on the
+     * closed-form track carries the region's counter deltas, and
      * the sample boundaries inside it are exactly interpolated (in
      * steady state every delta is divisible by the cycle count).
      */
@@ -134,9 +135,8 @@ class Tracer : public Checkpointable
     /**
      * Close an event-engine steady span of `cycles` cycles: sample
      * boundaries inside it are exactly interpolated like bulkEnd(),
-     * but no fast-forward span is recorded — the event stream stays
-     * byte-identical to `cycles` exact tick() calls (exact mode
-     * records no region spans either).
+     * but no span is recorded — the event stream stays byte-identical
+     * to `cycles` exact tick() calls.
      */
     void steadyEnd(cycle_t cycles);
 

@@ -1,11 +1,13 @@
 /**
  * @file
- * Event-engine parity tests: the wakeup scheduler (`engine = EVENT`)
- * must be bit-identical to the original tick-everything loops
+ * Engine suite: every closed-form primitive (bulkAdvance()/
+ * bulkReduce()/bulkTick()) is counter-identical to the per-cycle loop
+ * it replaces, and the wakeup scheduler (`engine = EVENT`) is
+ * bit-identical to the reference tick-everything loops
  * (`engine = TICK`) — cycles, every activity counter, output tensors,
  * watchdog accounting, budget aborts and the recorded trace event
- * stream — on bare units and on every shipped configs/*.cfg, in exact
- * and fast-forward execution, with and without a fault injector.
+ * stream — on bare units and on every shipped config in configs/, with
+ * and without a fault injector.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,8 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,14 +25,20 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/watchdog.hpp"
+#include "controller/delivery.hpp"
 #include "engine/event_engine.hpp"
 #include "engine/stonne_api.hpp"
 #include "faults/fault_injector.hpp"
+#include "mem/dram.hpp"
 #include "mem/global_buffer.hpp"
 #include "network/dn_benes.hpp"
 #include "network/dn_popn.hpp"
 #include "network/dn_tree.hpp"
 #include "network/mn_array.hpp"
+#include "network/rn_fan.hpp"
+#include "network/rn_linear.hpp"
+#include "network/rn_tree.hpp"
+#include "service/protocol.hpp"
 #include "tensor/prune.hpp"
 #include "trace/trace.hpp"
 
@@ -46,6 +56,182 @@ expectSameCounters(const StatsRegistry &a, const StatsRegistry &b)
         EXPECT_EQ(ca[i].name, cb[i].name);
         EXPECT_EQ(ca[i].value, cb[i].value) << "counter " << ca[i].name;
     }
+}
+
+// --- bulk primitives vs. their per-cycle loops ------------------------
+
+TEST(BulkAdvance, GlobalBufferMatchesLoop)
+{
+    StatsRegistry s1;
+    GlobalBuffer loop(108, 8, 8, 1, s1);
+    for (int c = 0; c < 5; ++c) {
+        loop.nextCycle();
+        EXPECT_EQ(loop.readBulk(8), 8);
+        EXPECT_EQ(loop.writeBulk(3), 3);
+    }
+
+    StatsRegistry s2;
+    GlobalBuffer bulk(108, 8, 8, 1, s2);
+    bulk.bulkAdvance(5, 40, 15);
+    expectSameCounters(s1, s2);
+}
+
+TEST(BulkAdvance, GlobalBufferRejectsOverAndUnderflow)
+{
+    StatsRegistry s;
+    GlobalBuffer gb(108, 8, 4, 1, s);
+    EXPECT_THROW(gb.bulkAdvance(2, 17, 0), PanicError); // > 2 * read bw
+    EXPECT_THROW(gb.bulkAdvance(2, 0, 9), PanicError);  // > 2 * write bw
+    EXPECT_THROW(gb.bulkAdvance(1, -1, 0), PanicError);
+    EXPECT_THROW(gb.bulkAdvance(1, 0, -1), PanicError);
+}
+
+TEST(BulkAdvance, DramMatchesPerTransferAccounting)
+{
+    StatsRegistry s1;
+    Dram loop(256.0, 1.0, 10, s1);
+    loop.transferCycles(1000);
+    loop.transferCycles(24);
+
+    StatsRegistry s2;
+    Dram bulk(256.0, 1.0, 10, s2);
+    bulk.bulkAdvance(1024, 2);
+    expectSameCounters(s1, s2);
+    EXPECT_THROW(bulk.bulkAdvance(-1, 1), PanicError);
+}
+
+TEST(BulkAdvance, TreeDnMatchesInjectLoop)
+{
+    StatsRegistry s1;
+    TreeDistributionNetwork loop(64, 8, s1);
+    for (int c = 0; c < 5; ++c) {
+        loop.cycle();
+        EXPECT_EQ(loop.injectBulk(8, 4, PackageKind::Input), 8);
+    }
+
+    StatsRegistry s2;
+    TreeDistributionNetwork bulk(64, 8, s2);
+    bulk.bulkAdvance(5, 40, 4, PackageKind::Input);
+    expectSameCounters(s1, s2);
+}
+
+TEST(BulkAdvance, BenesDnMatchesInjectLoop)
+{
+    StatsRegistry s1;
+    BenesDistributionNetwork loop(64, 8, s1);
+    for (int c = 0; c < 3; ++c) {
+        loop.cycle();
+        EXPECT_EQ(loop.injectBulk(8, 4, PackageKind::Weight), 8);
+    }
+
+    StatsRegistry s2;
+    BenesDistributionNetwork bulk(64, 8, s2);
+    bulk.bulkAdvance(3, 24, 4, PackageKind::Weight);
+    expectSameCounters(s1, s2);
+}
+
+TEST(BulkAdvance, PointToPointDnMatchesInjectLoop)
+{
+    StatsRegistry s1;
+    PointToPointNetwork loop(16, 4, s1);
+    for (int c = 0; c < 4; ++c) {
+        loop.cycle();
+        EXPECT_EQ(loop.injectBulk(4, 1, PackageKind::Input), 4);
+    }
+
+    StatsRegistry s2;
+    PointToPointNetwork bulk(16, 4, s2);
+    bulk.bulkAdvance(4, 16, 1, PackageKind::Input);
+    expectSameCounters(s1, s2);
+}
+
+TEST(BulkAdvance, DnRejectsInvalidArguments)
+{
+    StatsRegistry s;
+    TreeDistributionNetwork tree(64, 8, s);
+    EXPECT_THROW(tree.bulkAdvance(1, 9, 1, PackageKind::Input),
+                 PanicError); // exceeds 1 cycle of bandwidth
+    EXPECT_THROW(tree.bulkAdvance(1, -1, 1, PackageKind::Input),
+                 PanicError);
+    EXPECT_THROW(tree.bulkAdvance(1, 1, 0, PackageKind::Input),
+                 PanicError);
+
+    StatsRegistry s2;
+    PointToPointNetwork pop(16, 4, s2);
+    // Multicast is structurally impossible on the systolic links.
+    EXPECT_THROW(pop.bulkAdvance(1, 1, 2, PackageKind::Input), FatalError);
+}
+
+TEST(BulkReduce, ArtMatchesClusterLoop)
+{
+    // 9 is deliberately non-power-of-two: it exercises the horizontal
+    // forwarding-link accounting as well as the 3:1 adder firings.
+    StatsRegistry s1;
+    ArtReductionNetwork loop(64, true, 64, s1);
+    for (int c = 0; c < 7; ++c)
+        loop.reduceCluster(9);
+
+    StatsRegistry s2;
+    ArtReductionNetwork bulk(64, true, 64, s2);
+    bulk.bulkReduce(7, 9);
+    expectSameCounters(s1, s2);
+}
+
+TEST(BulkReduce, FanMatchesClusterLoop)
+{
+    StatsRegistry s1;
+    FanReductionNetwork loop(64, s1);
+    for (int c = 0; c < 5; ++c)
+        loop.reduceCluster(9);
+
+    StatsRegistry s2;
+    FanReductionNetwork bulk(64, s2);
+    bulk.bulkReduce(5, 9);
+    expectSameCounters(s1, s2);
+}
+
+TEST(BulkReduce, LinearMatchesClusterLoop)
+{
+    StatsRegistry s1;
+    LinearReductionNetwork loop(64, s1);
+    for (int c = 0; c < 3; ++c)
+        loop.reduceCluster(8);
+
+    StatsRegistry s2;
+    LinearReductionNetwork bulk(64, s2);
+    bulk.bulkReduce(3, 8);
+    expectSameCounters(s1, s2);
+}
+
+TEST(BulkReduce, SingleElementClustersAreFree)
+{
+    StatsRegistry s;
+    ArtReductionNetwork rn(64, true, 64, s);
+    rn.bulkReduce(100, 1);
+    EXPECT_EQ(rn.adderOps(), 0u);
+}
+
+TEST(BulkReduce, RejectsInvalidArguments)
+{
+    StatsRegistry s;
+    FanReductionNetwork rn(64, s);
+    EXPECT_THROW(rn.bulkReduce(-1, 4), PanicError);
+    EXPECT_THROW(rn.bulkReduce(2, 0), PanicError);
+    EXPECT_THROW(rn.bulkReduce(2, 65), PanicError);
+}
+
+TEST(BulkTick, WatchdogMatchesTickSemantics)
+{
+    Watchdog wd(10);
+    wd.bulkTick(5, 2);
+    EXPECT_EQ(wd.cyclesObserved(), 5u);
+    EXPECT_EQ(wd.stallCycles(), 0u);
+    wd.bulkTick(9, 0);
+    EXPECT_EQ(wd.stallCycles(), 9u);
+    wd.bulkTick(3, 1); // any progress clears the stall window
+    EXPECT_EQ(wd.stallCycles(), 0u);
+    EXPECT_EQ(wd.cyclesObserved(), 17u);
+    EXPECT_THROW(wd.bulkTick(10, 0), DeadlockError);
 }
 
 // --- configuration surface --------------------------------------------
@@ -82,6 +268,67 @@ TEST(EngineConfig, StructuralTextNormalizesTheEngineKnob)
     EXPECT_EQ(ev.structuralText(), tick.structuralText());
 }
 
+TEST(EngineConfig, LegacyFastForwardKeyIsAcceptedAndIgnored)
+{
+    // `fast_forward` was retired when the event engine's exact steady
+    // skip became the only skip path. Config files, service overrides
+    // and snapshot config texts written before still carry the key:
+    // it must parse (and stay validated) without changing anything.
+    const HardwareConfig off = HardwareConfig::parse("fast_forward = OFF");
+    const HardwareConfig on = HardwareConfig::parse("fast_forward = 1");
+    EXPECT_EQ(off.toConfigText(), HardwareConfig().toConfigText());
+    EXPECT_EQ(on.toConfigText(), HardwareConfig().toConfigText());
+    EXPECT_EQ(off.toConfigText().find("fast_forward"), std::string::npos);
+
+    // An older snapshot's embedded config text passes the structural
+    // comparison a restore makes.
+    const HardwareConfig maeri = HardwareConfig::maeriLike(64, 8);
+    const HardwareConfig restored = HardwareConfig::parse(
+        maeri.toConfigText() + "fast_forward = OFF\n", "<checkpoint>");
+    EXPECT_EQ(restored.structuralText(), maeri.structuralText());
+    EXPECT_EQ(restored.toConfigText(), maeri.toConfigText());
+
+    // A service job may still override it.
+    EXPECT_EQ(service::applyOverrides(maeri, {{"fast_forward", "OFF"}})
+                  .toConfigText(),
+              maeri.toConfigText());
+    EXPECT_THROW(service::applyOverrides(maeri, {{"fast_forward", "maybe"}}),
+                 service::ProtocolError);
+
+    try {
+        (void)HardwareConfig::parse("ms_size = 64\nfast_forward = maybe",
+                                    "legacy.cfg");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("legacy.cfg:2"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ConfigValidate, NamesBandwidthInDiagnostics)
+{
+    HardwareConfig c;
+    c.dn_bandwidth = 0;
+    try {
+        c.validate();
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("dn_bandwidth"),
+                  std::string::npos);
+    }
+
+    HardwareConfig r;
+    r.rn_bandwidth = -2;
+    try {
+        r.validate();
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("rn_bandwidth"),
+                  std::string::npos);
+    }
+}
+
 // --- wakeup reporting -------------------------------------------------
 
 TEST(NextActiveCycle, DnReportsIdleWhenDrainedAndZeroWhenIssuing)
@@ -112,30 +359,28 @@ TEST(EventEngineDelivery, CyclesAndCountersMatchTickLoop)
     // GB read bandwidth (4) below DN bandwidth (8) exercises the
     // min() in the steady-state grant; counts below/at/above one
     // grant exercise the tail handling.
-    for (const bool ff : {false, true}) {
-        for (const index_t count : {1, 3, 4, 5, 37, 128}) {
-            StatsRegistry s1;
-            TreeDistributionNetwork dn1(64, 8, s1);
-            GlobalBuffer gb1(108, 4, 4, 1, s1);
-            Watchdog wd1(1000);
-            EventEngine tick(EngineType::Tick, &wd1);
-            const cycle_t ref = tick.deliver(dn1, gb1, count, 2,
-                                             PackageKind::Input, ff);
+    for (const index_t count : {1, 3, 4, 5, 37, 128}) {
+        StatsRegistry s1;
+        TreeDistributionNetwork dn1(64, 8, s1);
+        GlobalBuffer gb1(108, 4, 4, 1, s1);
+        Watchdog wd1(1000);
+        EventEngine tick(EngineType::Tick, &wd1);
+        const cycle_t ref =
+            tick.deliver(dn1, gb1, count, 2, PackageKind::Input);
 
-            StatsRegistry s2;
-            TreeDistributionNetwork dn2(64, 8, s2);
-            GlobalBuffer gb2(108, 4, 4, 1, s2);
-            Watchdog wd2(1000);
-            EventEngine ev(EngineType::Event, &wd2);
-            const cycle_t got = ev.deliver(dn2, gb2, count, 2,
-                                           PackageKind::Input, ff);
+        StatsRegistry s2;
+        TreeDistributionNetwork dn2(64, 8, s2);
+        GlobalBuffer gb2(108, 4, 4, 1, s2);
+        Watchdog wd2(1000);
+        EventEngine ev(EngineType::Event, &wd2);
+        const cycle_t got =
+            ev.deliver(dn2, gb2, count, 2, PackageKind::Input);
 
-            EXPECT_EQ(ref, got) << "count " << count << " ff " << ff;
-            EXPECT_EQ(wd1.cyclesObserved(), wd2.cyclesObserved());
-            EXPECT_EQ(wd1.stallCycles(), wd2.stallCycles());
-            EXPECT_EQ(tick.now(), ev.now());
-            expectSameCounters(s1, s2);
-        }
+        EXPECT_EQ(ref, got) << "count " << count;
+        EXPECT_EQ(wd1.cyclesObserved(), wd2.cyclesObserved());
+        EXPECT_EQ(wd1.stallCycles(), wd2.stallCycles());
+        EXPECT_EQ(tick.now(), ev.now());
+        expectSameCounters(s1, s2);
     }
 }
 
@@ -160,8 +405,7 @@ TEST(EventEngineDelivery, EveryDnTopologyMatchesTickLoop)
         }
         GlobalBuffer gb(108, 8, 8, 1, s);
         EventEngine engine(mode, &wd);
-        return engine.deliver(*dn, gb, 77, 1, PackageKind::Weight,
-                              /*fast_forward=*/false);
+        return engine.deliver(*dn, gb, 77, 1, PackageKind::Weight);
     };
 
     for (const DnType type :
@@ -178,25 +422,23 @@ TEST(EventEngineDelivery, EveryDnTopologyMatchesTickLoop)
 
 TEST(EventEngineDelivery, DrainMatchesTickLoop)
 {
-    for (const bool ff : {false, true}) {
-        for (const index_t count : {1, 2, 3, 64, 129}) {
-            StatsRegistry s1;
-            GlobalBuffer gb1(108, 4, 3, 1, s1);
-            Watchdog wd1(1000);
-            EventEngine tick(EngineType::Tick, &wd1);
-            const cycle_t ref = tick.drain(gb1, count, ff);
+    for (const index_t count : {1, 2, 3, 64, 129}) {
+        StatsRegistry s1;
+        GlobalBuffer gb1(108, 4, 3, 1, s1);
+        Watchdog wd1(1000);
+        EventEngine tick(EngineType::Tick, &wd1);
+        const cycle_t ref = tick.drain(gb1, count);
 
-            StatsRegistry s2;
-            GlobalBuffer gb2(108, 4, 3, 1, s2);
-            Watchdog wd2(1000);
-            EventEngine ev(EngineType::Event, &wd2);
-            const cycle_t got = ev.drain(gb2, count, ff);
+        StatsRegistry s2;
+        GlobalBuffer gb2(108, 4, 3, 1, s2);
+        Watchdog wd2(1000);
+        EventEngine ev(EngineType::Event, &wd2);
+        const cycle_t got = ev.drain(gb2, count);
 
-            EXPECT_EQ(ref, got) << "count " << count << " ff " << ff;
-            EXPECT_EQ(wd1.cyclesObserved(), wd2.cyclesObserved());
-            EXPECT_EQ(tick.now(), ev.now());
-            expectSameCounters(s1, s2);
-        }
+        EXPECT_EQ(ref, got) << "count " << count;
+        EXPECT_EQ(wd1.cyclesObserved(), wd2.cyclesObserved());
+        EXPECT_EQ(tick.now(), ev.now());
+        expectSameCounters(s1, s2);
     }
 }
 
@@ -217,10 +459,9 @@ TEST(EventEngineDelivery, FaultInjectorPinsTheExactLoop)
         GlobalBuffer gb(108, 8, 8, 1, s);
         FaultInjector faults(fc, 64, s);
         EventEngine engine(mode, &wd, &faults);
-        cycle_t cycles = engine.deliver(dn, gb, 200, 2,
-                                        PackageKind::Input, true);
-        cycles += engine.deliver(dn, gb, 150, 1, PackageKind::Weight,
-                                 true);
+        cycle_t cycles =
+            engine.deliver(dn, gb, 200, 2, PackageKind::Input);
+        cycles += engine.deliver(dn, gb, 150, 1, PackageKind::Weight);
         return cycles;
     };
 
@@ -231,6 +472,58 @@ TEST(EventEngineDelivery, FaultInjectorPinsTheExactLoop)
     EXPECT_EQ(ref, got);
     EXPECT_EQ(wd1.cyclesObserved(), wd2.cyclesObserved());
     expectSameCounters(s1, s2);
+}
+
+// The free deliverElements()/drainOutputs() loops are the exact
+// per-cycle reference; the event engine's steady-state skip is the one
+// fast-forward path left. The skip must land on the reference loop's
+// cycles and counters directly, not only on the engine's TICK mode.
+
+TEST(FastForwardDelivery, CyclesAndCountersMatchExactLoop)
+{
+    // GB read bandwidth (4) below DN bandwidth (8) exercises the
+    // min() in the steady-state grant.
+    for (const index_t count : {1, 3, 4, 5, 37, 128}) {
+        StatsRegistry s1;
+        TreeDistributionNetwork dn1(64, 8, s1);
+        GlobalBuffer gb1(108, 4, 4, 1, s1);
+        Watchdog wd1(1000);
+        const cycle_t exact =
+            deliverElements(dn1, gb1, count, 2, PackageKind::Input, &wd1);
+
+        StatsRegistry s2;
+        TreeDistributionNetwork dn2(64, 8, s2);
+        GlobalBuffer gb2(108, 4, 4, 1, s2);
+        Watchdog wd2(1000);
+        EventEngine ev(EngineType::Event, &wd2);
+        const cycle_t fast =
+            ev.deliver(dn2, gb2, count, 2, PackageKind::Input);
+
+        EXPECT_EQ(exact, fast) << "count " << count;
+        EXPECT_EQ(wd1.cyclesObserved(), wd2.cyclesObserved());
+        EXPECT_EQ(wd1.stallCycles(), wd2.stallCycles());
+        expectSameCounters(s1, s2);
+    }
+}
+
+TEST(FastForwardDelivery, DrainMatchesExactLoop)
+{
+    for (const index_t count : {1, 2, 3, 64, 129}) {
+        StatsRegistry s1;
+        GlobalBuffer gb1(108, 4, 3, 1, s1);
+        Watchdog wd1(1000);
+        const cycle_t exact = drainOutputs(gb1, count, &wd1);
+
+        StatsRegistry s2;
+        GlobalBuffer gb2(108, 4, 3, 1, s2);
+        Watchdog wd2(1000);
+        EventEngine ev(EngineType::Event, &wd2);
+        const cycle_t fast = ev.drain(gb2, count);
+
+        EXPECT_EQ(exact, fast) << "count " << count;
+        EXPECT_EQ(wd1.cyclesObserved(), wd2.cyclesObserved());
+        expectSameCounters(s1, s2);
+    }
 }
 
 // --- budget aborts ----------------------------------------------------
@@ -250,8 +543,7 @@ TEST(EventEngineBudget, AbortsOnTheSameCycleWithTheSameMessage)
         std::string what;
         cycle_t observed = 0;
         try {
-            (void)engine.deliver(dn, gb, 400, 2, PackageKind::Input,
-                                 /*fast_forward=*/false);
+            (void)engine.deliver(dn, gb, 400, 2, PackageKind::Input);
             ADD_FAILURE() << "budget must abort the delivery";
         } catch (const BudgetExceededError &e) {
             what = e.what();
@@ -281,8 +573,7 @@ TEST(EventEngineBudget, BudgetAlreadySpentStillAborts)
         EventEngine engine(mode, &wd);
         cycle_t observed = 0;
         try {
-            (void)engine.deliver(dn, gb, 64, 1, PackageKind::Input,
-                                 false);
+            (void)engine.deliver(dn, gb, 64, 1, PackageKind::Input);
             ADD_FAILURE() << "budget must abort the delivery";
         } catch (const BudgetExceededError &) {
             observed = wd.cyclesObserved();
@@ -292,35 +583,15 @@ TEST(EventEngineBudget, BudgetAlreadySpentStillAborts)
     EXPECT_EQ(run(EngineType::Tick), run(EngineType::Event));
 }
 
-// --- whole-simulation parity on every shipped config ------------------
-
-std::vector<std::string>
-configFiles()
+/**
+ * Configure the suite's small layer for the config's controller: a
+ * 32x16x64 SpMM on the sparse controller, otherwise an 8x8x8 3x3
+ * pad-1 convolution.
+ */
+void
+loadParityLayer(Stonne &st, const HardwareConfig &cfg)
 {
-    std::vector<std::string> files;
-    for (const auto &entry :
-         std::filesystem::directory_iterator("configs"))
-        if (entry.path().extension() == ".cfg")
-            files.push_back(entry.path().string());
-    std::sort(files.begin(), files.end());
-    return files;
-}
-
-struct RunOutcome {
-    SimulationResult sim;
-    std::deque<StatCounter> counters;
-    Tensor output;
-};
-
-/** Run a small layer appropriate for the config's controller. */
-RunOutcome
-runOnce(HardwareConfig cfg, EngineType engine, bool fast_forward)
-{
-    cfg.engine_type = engine;
-    cfg.fast_forward = fast_forward;
-    Stonne st(cfg);
     Rng rng(7);
-
     if (cfg.controller_type == ControllerType::Sparse) {
         const LayerSpec layer =
             LayerSpec::sparseGemm("parity_spmm", 32, 16, 64);
@@ -351,118 +622,250 @@ runOnce(HardwareConfig cfg, EngineType engine, bool fast_forward)
         st.configureData(std::move(input), std::move(weights),
                          std::move(bias));
     }
+}
+
+TEST(EventEngineBudget, WholeRunAbortsIdenticallyUnderBothEngines)
+{
+    // A cycle-budget abort must not depend on how the cycles were
+    // obtained: the default configuration and exact per-cycle stepping
+    // (`engine = TICK`) both abort on the first cycle past the budget,
+    // with the identical message.
+    const auto abortMessage = [](const HardwareConfig &cfg) {
+        Stonne st(cfg);
+        loadParityLayer(st, cfg);
+        try {
+            (void)st.runOperation();
+            ADD_FAILURE() << "budget " << cfg.job_budget_cycles
+                          << " must abort the run";
+        } catch (const BudgetExceededError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+
+    for (const index_t budget : {1, 8, 22}) {
+        HardwareConfig cfg = HardwareConfig::maeriLike(128, 8);
+        cfg.job_budget_cycles = budget;
+        HardwareConfig tick = cfg;
+        tick.engine_type = EngineType::Tick;
+
+        const std::string ref = abortMessage(tick);
+        EXPECT_EQ(ref, abortMessage(cfg)) << "budget " << budget;
+        EXPECT_NE(ref.find(" " + std::to_string(budget + 1) +
+                           " cycles observed"),
+                  std::string::npos)
+            << ref;
+    }
+}
+
+// --- whole-simulation parity on every shipped config ------------------
+
+std::vector<std::string>
+configFiles()
+{
+    std::vector<std::string> files;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("configs"))
+        if (entry.path().extension() == ".cfg")
+            files.push_back(entry.path().string());
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
+struct RunOutcome {
+    SimulationResult sim;
+    std::deque<StatCounter> counters;
+    Tensor output;
+    std::vector<TraceEvent> trace;
+};
+
+/**
+ * Run the suite's layer on `cfg` under `engine`, traced with a short
+ * sample window so many sample boundaries land inside skipped spans
+ * (exercising the steady-state interpolation).
+ */
+RunOutcome
+runOnce(HardwareConfig cfg, EngineType engine)
+{
+    cfg.engine_type = engine;
+    cfg.trace = true;
+    cfg.trace_file = (std::filesystem::temp_directory_path() /
+                      (std::string("stonne_engine_parity_") +
+                       engineTypeName(engine) + ".trace.json"))
+                         .string();
+    cfg.trace_sample_cycles = 16;
+    Stonne st(cfg);
+    loadParityLayer(st, cfg);
 
     RunOutcome r;
     r.sim = st.runOperation();
     r.counters = st.stats().counters();
     r.output = st.output();
+    r.trace = st.accelerator().tracer()->events();
+    std::filesystem::remove(cfg.trace_file);
     return r;
+}
+
+/**
+ * Run the suite's layer `ops` times back to back on `cfg` exactly as
+ * given — untraced, the path benchmarks and sweeps take.
+ */
+RunOutcome
+runUntraced(const HardwareConfig &cfg, int ops = 1)
+{
+    Stonne st(cfg);
+    RunOutcome r;
+    for (int op = 0; op < ops; ++op) {
+        loadParityLayer(st, cfg);
+        r.sim = st.runOperation();
+    }
+    r.counters = st.stats().counters();
+    r.output = st.output();
+    return r;
+}
+
+/** Cycles, result figures, every counter and the output bits match. */
+void
+expectSameRun(const RunOutcome &ref, const RunOutcome &got)
+{
+    EXPECT_EQ(ref.sim.cycles, got.sim.cycles);
+    EXPECT_EQ(ref.sim.macs, got.sim.macs);
+    EXPECT_EQ(ref.sim.skipped_macs, got.sim.skipped_macs);
+    EXPECT_EQ(ref.sim.mem_accesses, got.sim.mem_accesses);
+    EXPECT_DOUBLE_EQ(ref.sim.ms_utilization, got.sim.ms_utilization);
+
+    ASSERT_EQ(ref.counters.size(), got.counters.size());
+    for (std::size_t i = 0; i < ref.counters.size(); ++i) {
+        EXPECT_EQ(ref.counters[i].name, got.counters[i].name);
+        EXPECT_EQ(ref.counters[i].value, got.counters[i].value)
+            << "counter " << ref.counters[i].name;
+    }
+
+    ASSERT_EQ(ref.output.shape(), got.output.shape());
+    EXPECT_EQ(std::memcmp(ref.output.data(), got.output.data(),
+                          static_cast<std::size_t>(ref.output.size()) *
+                              sizeof(float)),
+              0);
+}
+
+/** (TICK, EVENT) outcomes for every shipped config, in file order. */
+std::vector<std::pair<RunOutcome, RunOutcome>>
+shippedConfigRuns()
+{
+    std::vector<std::pair<RunOutcome, RunOutcome>> runs;
+    for (const std::string &path : configFiles()) {
+        const HardwareConfig cfg = HardwareConfig::parseFile(path);
+        runs.emplace_back(runOnce(cfg, EngineType::Tick),
+                          runOnce(cfg, EngineType::Event));
+    }
+    return runs;
 }
 
 TEST(EventEngineParity, AllShippedConfigsAreBitIdentical)
 {
     const std::vector<std::string> files = configFiles();
     ASSERT_FALSE(files.empty());
+    const auto runs = shippedConfigRuns();
+    ASSERT_EQ(runs.size(), files.size());
     bool any_faulty = false;
 
-    for (const std::string &path : files) {
-        const HardwareConfig cfg = HardwareConfig::parseFile(path);
-        any_faulty |= cfg.faults.enabled;
-        for (const bool ff : {false, true}) {
-            SCOPED_TRACE(path + (ff ? " [fast-forward]" : " [exact]"));
-
-            const RunOutcome ref = runOnce(cfg, EngineType::Tick, ff);
-            const RunOutcome got = runOnce(cfg, EngineType::Event, ff);
-
-            EXPECT_EQ(ref.sim.cycles, got.sim.cycles);
-            EXPECT_EQ(ref.sim.macs, got.sim.macs);
-            EXPECT_EQ(ref.sim.skipped_macs, got.sim.skipped_macs);
-            EXPECT_EQ(ref.sim.mem_accesses, got.sim.mem_accesses);
-            EXPECT_DOUBLE_EQ(ref.sim.ms_utilization,
-                             got.sim.ms_utilization);
-
-            ASSERT_EQ(ref.counters.size(), got.counters.size());
-            for (std::size_t i = 0; i < ref.counters.size(); ++i) {
-                EXPECT_EQ(ref.counters[i].name, got.counters[i].name);
-                EXPECT_EQ(ref.counters[i].value, got.counters[i].value)
-                    << "counter " << ref.counters[i].name;
-            }
-
-            ASSERT_EQ(ref.output.shape(), got.output.shape());
-            EXPECT_EQ(
-                std::memcmp(ref.output.data(), got.output.data(),
-                            static_cast<std::size_t>(ref.output.size()) *
-                                sizeof(float)),
-                0);
-        }
+    for (std::size_t f = 0; f < files.size(); ++f) {
+        SCOPED_TRACE(files[f]);
+        any_faulty |= HardwareConfig::parseFile(files[f]).faults.enabled;
+        expectSameRun(runs[f].first, runs[f].second);
     }
     // The sweep must cover a config whose fault injector pins the
     // delivery stream to the exact loop under both engines.
     EXPECT_TRUE(any_faulty);
 }
 
-// --- trace parity -----------------------------------------------------
-
-std::vector<TraceEvent>
-runTraced(EngineType engine, const std::string &file)
-{
-    HardwareConfig cfg = HardwareConfig::maeriLike(128, 8);
-    cfg.engine_type = engine;
-    cfg.fast_forward = false; // exact mode: no fast-forward track
-    cfg.trace = true;
-    cfg.trace_file = file;
-    // A short window lands many sample boundaries inside skipped
-    // spans, exercising the steady-state interpolation.
-    cfg.trace_sample_cycles = 16;
-
-    Stonne st(cfg);
-    Rng rng(11);
-    Conv2dShape c;
-    c.R = 3;
-    c.S = 3;
-    c.C = 8;
-    c.K = 8;
-    c.X = 8;
-    c.Y = 8;
-    c.padding = 1;
-    Tensor input({c.N, c.C, c.X, c.Y});
-    Tensor weights({c.K, c.cPerGroup(), c.R, c.S});
-    input.fillUniform(rng, 0.0f, 1.0f);
-    weights.fillNormal(rng, 0.0f, 0.2f);
-    st.configureConv(LayerSpec::convolution("traced_conv", c));
-    st.configureData(std::move(input), std::move(weights), Tensor());
-    (void)st.runOperation();
-
-    const Tracer *tr = st.accelerator().tracer();
-    EXPECT_NE(tr, nullptr);
-    return tr->events();
-}
-
 TEST(EventEngineParity, TraceEventStreamIsIdentical)
 {
-    // Exact mode records no fast-forward spans under either engine, so
-    // the full event streams — phases, counter samples, gauges,
-    // instants, timestamps — must match event-for-event.
-    const std::vector<TraceEvent> ref = runTraced(
-        EngineType::Tick, "/tmp/stonne_event_parity_tick.trace.json");
-    const std::vector<TraceEvent> got = runTraced(
-        EngineType::Event, "/tmp/stonne_event_parity_event.trace.json");
+    // The full event streams — phases, counter samples, gauges,
+    // instants, closed-form regions, timestamps — must match
+    // event-for-event on every shipped config.
+    const std::vector<std::string> files = configFiles();
+    const auto runs = shippedConfigRuns();
+    ASSERT_EQ(runs.size(), files.size());
 
-    ASSERT_EQ(ref.size(), got.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-        SCOPED_TRACE("event " + std::to_string(i) + " '" + ref[i].name +
-                     "'");
-        EXPECT_EQ(ref[i].kind, got[i].kind);
-        EXPECT_EQ(ref[i].name, got[i].name);
-        EXPECT_EQ(ref[i].ts, got[i].ts);
-        EXPECT_EQ(ref[i].dur, got[i].dur);
-        EXPECT_EQ(ref[i].track, got[i].track);
-        EXPECT_EQ(ref[i].value, got[i].value);
-        EXPECT_DOUBLE_EQ(ref[i].dvalue, got[i].dvalue);
-        EXPECT_EQ(ref[i].args, got[i].args);
+    for (std::size_t f = 0; f < files.size(); ++f) {
+        SCOPED_TRACE(files[f]);
+        const std::vector<TraceEvent> &ref = runs[f].first.trace;
+        const std::vector<TraceEvent> &got = runs[f].second.trace;
+        EXPECT_FALSE(ref.empty());
+        ASSERT_EQ(ref.size(), got.size());
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            SCOPED_TRACE("event " + std::to_string(i) + " '" +
+                         ref[i].name + "'");
+            EXPECT_EQ(ref[i].kind, got[i].kind);
+            EXPECT_EQ(ref[i].name, got[i].name);
+            EXPECT_EQ(ref[i].ts, got[i].ts);
+            EXPECT_EQ(ref[i].dur, got[i].dur);
+            EXPECT_EQ(ref[i].track, got[i].track);
+            EXPECT_EQ(ref[i].value, got[i].value);
+            EXPECT_DOUBLE_EQ(ref[i].dvalue, got[i].dvalue);
+            EXPECT_EQ(ref[i].args, got[i].args);
+        }
     }
-    std::filesystem::remove("/tmp/stonne_event_parity_tick.trace.json");
-    std::filesystem::remove("/tmp/stonne_event_parity_event.trace.json");
+}
+
+TEST(FastForwardParity, AllShippedConfigsAreBitIdentical)
+{
+    // Config files written while `fast_forward` was a knob carry
+    // `fast_forward = OFF` (the old exact mode) or `ON`. Either way an
+    // untraced run takes the default engine's skip and is bit-identical
+    // to the TICK reference on every shipped config.
+    const std::vector<std::string> files = configFiles();
+    ASSERT_FALSE(files.empty());
+    bool any_fast_path = false;
+
+    for (const std::string &path : files) {
+        SCOPED_TRACE(path);
+        std::ifstream in(path);
+        ASSERT_TRUE(in) << "cannot open " << path;
+        std::ostringstream text;
+        text << in.rdbuf();
+
+        HardwareConfig tick = HardwareConfig::parse(text.str(), path);
+        any_fast_path |= !tick.faults.enabled;
+        tick.engine_type = EngineType::Tick;
+        const RunOutcome ref = runUntraced(tick);
+
+        for (const char *legacy : {"OFF", "ON"}) {
+            SCOPED_TRACE(std::string("fast_forward = ") + legacy);
+            const HardwareConfig cfg = HardwareConfig::parse(
+                text.str() + "\nfast_forward = " + legacy + "\n", path);
+            EXPECT_EQ(cfg.engine_type, EngineType::Event);
+            expectSameRun(ref, runUntraced(cfg));
+        }
+    }
+    // At least one config has no injector, so the skip engages.
+    EXPECT_TRUE(any_fast_path);
+}
+
+TEST(FastForwardParity, FaultyConfigForcesExactPath)
+{
+    // maeri_64_faulty.cfg ships with the injector enabled and the
+    // default EVENT engine: the fault RNG streams must observe every
+    // delivery cycle, so the injector pins delivery to the exact loop.
+    // Two operations back to back show the streams stay aligned past
+    // the first one, where any skipped draw would shift them.
+    const HardwareConfig cfg =
+        HardwareConfig::parseFile("configs/maeri_64_faulty.cfg");
+    EXPECT_TRUE(cfg.faults.enabled);
+    EXPECT_EQ(cfg.engine_type, EngineType::Event);
+
+    HardwareConfig tick = cfg;
+    tick.engine_type = EngineType::Tick;
+    const RunOutcome ref = runUntraced(tick, 2);
+    const RunOutcome got = runUntraced(cfg, 2);
+    expectSameRun(ref, got);
+
+    count_t dropped = 0;
+    for (const StatCounter &c : ref.counters)
+        if (c.name == "faults.dropped_flits")
+            dropped = c.value;
+    EXPECT_GT(dropped, 0u) << "the injector must drop flits to matter";
 }
 
 } // namespace

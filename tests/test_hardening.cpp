@@ -151,7 +151,7 @@ class WedgedNetwork : public DistributionNetwork
     void
     bulkAdvance(cycle_t, index_t, index_t, PackageKind) override
     {
-        panic("a wedged fabric cannot fast-forward");
+        panic("a wedged fabric has no steady state to skip");
     }
     void cycle() override {}
     void reset() override {}

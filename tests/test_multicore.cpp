@@ -615,10 +615,11 @@ TEST(MulticoreQuarantine, SickCoreIsBenchedAndOutputsStayBitIdentical)
     // complete through quarantine + migration with outputs bitwise
     // equal to the fault-free composition (drops are retransmitted, so
     // the injector is timing-only).
-    for (const bool fast_forward : {false, true}) {
-        SCOPED_TRACE(fast_forward ? "fast-forward" : "exact");
+    for (const EngineType engine :
+         {EngineType::Tick, EngineType::Event}) {
+        SCOPED_TRACE(engineTypeName(engine));
         HardwareConfig cfg = faultyComposition();
-        cfg.fast_forward = fast_forward;
+        cfg.engine_type = engine;
 
         MulticoreRunner ref(model, healthyTwin(cfg));
         const Tensor ref_out = ref.run(input);

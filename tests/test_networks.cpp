@@ -256,11 +256,6 @@ TEST(MnArray, BusyCyclesCountFiringCyclesOnly)
     mn.fireMultipliers(10);
     mn.fireMultipliers(0);
     EXPECT_EQ(stats.value("mn.busy_cycles"), 2u);
-    // A steady-state bulk region counts each skipped cycle as busy.
-    mn.bulkAdvance(5, 50);
-    EXPECT_EQ(stats.value("mn.busy_cycles"), 7u);
-    mn.bulkAdvance(5, 0);
-    EXPECT_EQ(stats.value("mn.busy_cycles"), 7u);
 }
 
 TEST(ArtRn, PipelineOccupancyFollowsClusterLatency)

@@ -135,11 +135,9 @@ constexpr index_t kGenerousWatchdog = 1 << 22;
 /** Whether `ops` back-to-back ops complete under a watchdog budget. */
 bool
 completesOps(HardwareConfig cfg, const LayerSpec &layer,
-             const LayerData &data, index_t watchdog, bool fast_forward,
-             int ops)
+             const LayerData &data, index_t watchdog, int ops)
 {
     cfg.watchdog_cycles = watchdog;
-    cfg.fast_forward = fast_forward;
     Stonne st(cfg);
     try {
         for (int i = 0; i < ops; ++i)
@@ -185,15 +183,15 @@ minCompletingBudget(const std::function<bool(index_t)> &completes)
  * The faulty world every deadlock test shares: the pinned
  * configs/maeri_64_faulty.cfg resilience config, patched through the
  * protocol's own override path onto a single-flit link with 75% drops,
- * plus the exact one-op completion thresholds of the normal and the
- * degraded (fast-forward OFF) engine. Probed once per test binary.
+ * plus the exact one-op completion threshold of its watchdog budget
+ * (degraded attempts run the same engine, only the budget widens).
+ * Probed once per test binary.
  */
 struct FaultyWorld {
     HardwareConfig cfg;
     LayerSpec layer;
     LayerData data;
-    index_t ok_norm = 0;
-    index_t ok_deg = 0;
+    index_t ok = 0;
 };
 
 const std::vector<std::pair<std::string, std::string>> &
@@ -218,11 +216,8 @@ faultyWorld()
             faultyOverrides());
         fw->layer = convLayer();
         fw->data = makeLayerData(fw->layer, 0.0, 42);
-        fw->ok_norm = minCompletingBudget([&](index_t w) {
-            return completesOps(fw->cfg, fw->layer, fw->data, w, true, 1);
-        });
-        fw->ok_deg = minCompletingBudget([&](index_t w) {
-            return completesOps(fw->cfg, fw->layer, fw->data, w, false, 1);
+        fw->ok = minCompletingBudget([&](index_t w) {
+            return completesOps(fw->cfg, fw->layer, fw->data, w, 1);
         });
         return fw;
     }();
@@ -441,13 +436,12 @@ TEST(ServiceEnvelope, CycleBudgetTimesOutTerminally)
 TEST(ServiceEnvelope, DeadlockRetriesThenDegradedAttemptSucceeds)
 {
     const FaultyWorld &fw = faultyWorld();
-    ASSERT_GT(fw.ok_norm, 1) << "no deterministic deadlock window";
-    ASSERT_GT(fw.ok_deg, 0) << "degraded engine never completes";
-    // Normal attempts run one budget notch below their threshold (a
+    ASSERT_GT(fw.ok, 1) << "no deterministic deadlock window";
+    // Normal attempts run one budget notch below the threshold (a
     // guaranteed deadlock); the degraded attempt's 4x widening must
-    // clear the degraded engine's own threshold.
-    const index_t w = fw.ok_norm - 1;
-    ASSERT_GE(4 * w, fw.ok_deg)
+    // clear it.
+    const index_t w = fw.ok - 1;
+    ASSERT_GE(4 * w, fw.ok)
         << "4x widening cannot rescue this fault seed";
 
     std::ostringstream out;
@@ -492,10 +486,10 @@ TEST(ServiceEnvelope, SnapshotResumeSkipsCompletedOperations)
     for (const char *seed : {"17", "7", "23", "41", "99", "3"}) {
         cfg = applyOverrides(base, {{"fault_seed", seed}});
         ok1 = minCompletingBudget([&](index_t w) {
-            return completesOps(cfg, layer, data, w, true, 1);
+            return completesOps(cfg, layer, data, w, 1);
         });
         ok12 = minCompletingBudget([&](index_t w) {
-            return completesOps(cfg, layer, data, w, true, 2);
+            return completesOps(cfg, layer, data, w, 2);
         });
         if (ok1 > 0 && ok12 > ok1) {
             found = true;
@@ -584,12 +578,10 @@ TEST(ServiceEnvelope, SecondIdenticalRunIsServedWarmFromTheCache)
 TEST(ServiceDaemon, FaultyJobFailsAloneAndNeighborsStayBitIdentical)
 {
     const FaultyWorld &fw = faultyWorld();
-    ASSERT_GT(fw.ok_norm, 1);
-    ASSERT_GT(fw.ok_deg, 4);
+    ASSERT_GT(fw.ok, 4);
     // Even the degraded attempt's 4x widening must stay below the
-    // degraded engine's completion threshold: the job is beyond help.
-    const index_t w =
-        std::min(fw.ok_norm - 1, (fw.ok_deg - 1) / 4);
+    // completion threshold: the job is beyond help.
+    const index_t w = (fw.ok - 1) / 4;
     ASSERT_GE(w, 1) << "thresholds leave no all-attempts-fail window";
 
     std::ostringstream out;

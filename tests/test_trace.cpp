@@ -1,10 +1,12 @@
 /**
  * @file
  * Tests for the cycle-level tracing subsystem: Tracer event recording
- * (samples, phase spans, instants, fast-forward regions), structural
+ * (samples, phase spans, instants, closed-form regions), structural
  * validity of the emitted Chrome trace-event JSON, the telescoping
- * samples-sum-to-aggregate-counters invariant, exact-vs-fast-forward
- * trace parity, deadlock post-mortem traces and the trace config keys.
+ * samples-sum-to-aggregate-counters invariant, TICK-vs-EVENT trace
+ * parity on one traced run (the sweep over every shipped config lives
+ * in the engine suite), the closed-form track, deadlock post-mortem
+ * traces and the trace config keys.
  */
 
 #include <gtest/gtest.h>
@@ -398,7 +400,7 @@ TEST(TracerUnit, BulkRegionSamplesMatchTheExactLoop)
     Tracer fast(s2, 8, tmpPath("fast.trace.json"), "acc");
     fast.bulkBegin();
     c2.value += 100;
-    fast.bulkEnd(20, "ff.region");
+    fast.bulkEnd(20, "closed.region");
 
     EXPECT_EQ(exact.now(), fast.now());
 
@@ -406,7 +408,7 @@ TEST(TracerUnit, BulkRegionSamplesMatchTheExactLoop)
         std::vector<TraceEvent> out;
         for (const TraceEvent &ev : t.events())
             if (!(ev.kind == TraceEvent::Kind::Span &&
-                  ev.track == Tracer::kFastForwardTrack))
+                  ev.track == Tracer::kClosedFormTrack))
                 out.push_back(ev);
         return out;
     };
@@ -421,10 +423,10 @@ TEST(TracerUnit, BulkRegionSamplesMatchTheExactLoop)
         EXPECT_DOUBLE_EQ(a[i].dvalue, b[i].dvalue);
     }
 
-    // The fast-forward span itself records the region's deltas.
+    // The closed-form span itself records the region's deltas.
     const TraceEvent &span = fast.events().front();
     ASSERT_EQ(span.kind, TraceEvent::Kind::Span);
-    EXPECT_EQ(span.name, "ff.region");
+    EXPECT_EQ(span.name, "closed.region");
     EXPECT_EQ(span.dur, 20u);
     ASSERT_EQ(span.args.size(), 1u);
     EXPECT_EQ(span.args[0].first, "mn.ops");
@@ -610,38 +612,38 @@ TEST(TracedRun, ProducesLoadableJsonWhoseSamplesSumToTheCounters)
 
 TEST(TracedRun, ExactAndFastForwardTracesAreIdentical)
 {
-    auto run = [](bool ff, const std::string &path, SimulationResult *r) {
+    // Exact per-cycle stepping (`engine = TICK`) and the event engine's
+    // steady-state skip must record the same trace: every phase span,
+    // counter sample, gauge and instant, and the same file on disk.
+    auto run = [](EngineType engine, const std::string &path,
+                  SimulationResult *r) {
         HardwareConfig cfg = HardwareConfig::maeriLike(64, 16);
-        cfg.fast_forward = ff;
+        cfg.engine_type = engine;
         cfg.trace = true;
         cfg.trace_file = path;
         cfg.trace_sample_cycles = 32;
         return runTracedConv(cfg, r);
     };
+    auto slurp = [](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        return ss.str();
+    };
 
     const std::string pe = tmpPath("parity_exact.trace.json");
     const std::string pf = tmpPath("parity_fast.trace.json");
     SimulationResult re, rf;
-    std::unique_ptr<Stonne> exact = run(false, pe, &re);
-    std::unique_ptr<Stonne> fast = run(true, pf, &rf);
+    std::unique_ptr<Stonne> exact = run(EngineType::Tick, pe, &re);
+    std::unique_ptr<Stonne> fast = run(EngineType::Event, pf, &rf);
     EXPECT_EQ(re.cycles, rf.cycles);
 
-    // Only the fast-forward track may differ between the modes: drop
-    // it and everything left — phase spans, counter samples, gauges,
-    // instants — must match event for event.
-    auto filtered = [](const Stonne &st) {
-        std::vector<TraceEvent> out;
-        for (const TraceEvent &ev :
-             const_cast<Stonne &>(st).accelerator().tracer()->events())
-            if (!(ev.kind == TraceEvent::Kind::Span &&
-                  ev.track == Tracer::kFastForwardTrack))
-                out.push_back(ev);
-        return out;
-    };
-    const std::vector<TraceEvent> a = filtered(*exact);
-    const std::vector<TraceEvent> b = filtered(*fast);
+    const std::vector<TraceEvent> &a =
+        exact->accelerator().tracer()->events();
+    const std::vector<TraceEvent> &b =
+        fast->accelerator().tracer()->events();
+    ASSERT_FALSE(a.empty());
     ASSERT_EQ(a.size(), b.size());
-    bool fast_spans_seen = false;
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].kind, b[i].kind) << "event " << i;
         EXPECT_EQ(a[i].name, b[i].name) << "event " << i;
@@ -652,15 +654,46 @@ TEST(TracedRun, ExactAndFastForwardTracesAreIdentical)
         EXPECT_DOUBLE_EQ(a[i].dvalue, b[i].dvalue)
             << "event " << a[i].name;
     }
-    for (const TraceEvent &ev :
-         fast->accelerator().tracer()->events())
-        if (ev.kind == TraceEvent::Kind::Span &&
-            ev.track == Tracer::kFastForwardTrack)
-            fast_spans_seen = true;
-    EXPECT_TRUE(fast_spans_seen)
-        << "fast-forward mode must record at least one bulk region";
+
+    const std::string file_exact = slurp(pe);
+    EXPECT_FALSE(file_exact.empty());
+    EXPECT_EQ(file_exact, slurp(pf));
     std::remove(pe.c_str());
     std::remove(pf.c_str());
+}
+
+TEST(TracedRun, ClosedFormTrackHoldsOnlyTheSystolicRegion)
+{
+    // tid 2 carries the dense controller's closed-form systolic run and
+    // nothing else: a TPU conv records one region per systolic tile
+    // run, while a MAERI conv (whose steady spans are skipped without
+    // a span) leaves the track empty.
+    auto closedFormSpans = [](HardwareConfig cfg, const std::string &path) {
+        cfg.trace = true;
+        cfg.trace_file = path;
+        SimulationResult r;
+        std::unique_ptr<Stonne> st = runTracedConv(cfg, &r);
+        std::vector<TraceEvent> spans;
+        for (const TraceEvent &ev : st->accelerator().tracer()->events())
+            if (ev.kind == TraceEvent::Kind::Span &&
+                ev.track == Tracer::kClosedFormTrack)
+                spans.push_back(ev);
+        std::remove(path.c_str());
+        return spans;
+    };
+
+    const std::vector<TraceEvent> tpu = closedFormSpans(
+        HardwareConfig::tpuLike(64), tmpPath("tpu_closed.trace.json"));
+    ASSERT_FALSE(tpu.empty());
+    for (const TraceEvent &ev : tpu) {
+        EXPECT_EQ(ev.name, "systolic.run");
+        EXPECT_GT(ev.dur, 0u);
+        EXPECT_FALSE(ev.args.empty());
+    }
+
+    EXPECT_TRUE(closedFormSpans(HardwareConfig::maeriLike(64, 16),
+                                tmpPath("maeri_closed.trace.json"))
+                    .empty());
 }
 
 TEST(TracedRun, TraceOffLeavesNoPathAndNoFile)
@@ -697,7 +730,7 @@ class WedgedNetwork : public DistributionNetwork
     void
     bulkAdvance(cycle_t, index_t, index_t, PackageKind) override
     {
-        panic("a wedged fabric cannot fast-forward");
+        panic("a wedged fabric has no steady state to skip");
     }
     void cycle() override {}
     void reset() override {}
@@ -717,8 +750,7 @@ TEST(TracedRun, DeadlockLeavesAPostMortemTrace)
 
     try {
         deliverElements(wedged, accel.gb(), 8, 1, PackageKind::Input,
-                        &accel.watchdog(), nullptr,
-                        /*fast_forward=*/false, accel.tracer());
+                        &accel.watchdog(), nullptr, accel.tracer());
         FAIL() << "a wedged delivery must raise DeadlockError";
     } catch (const DeadlockError &) {
         // What Stonne::runOperation does on the same path.
