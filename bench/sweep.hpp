@@ -19,6 +19,7 @@
 
 #include "common/config.hpp"
 #include "common/json_writer.hpp"
+#include "common/recovery.hpp"
 #include "common/sweep_pool.hpp"
 
 namespace stonne::bench {
@@ -28,15 +29,9 @@ using stonne::SweepRunner;
 /** One execution attempt handed to a recovering-sweep point function. */
 struct SweepAttempt {
     int attempt = 1;         //!< 1-based attempt number
-    bool degraded = false;   //!< final attempt: exact engine, wide watchdog
+    bool degraded = false;   //!< final attempt: watchdog widened x4
     /** Snapshot left by the previous attempt ("" = start fresh). */
     std::string resume_from;
-};
-
-/** Record of one failed attempt of one point. */
-struct SweepFailure {
-    int attempt = 0;
-    std::string cause;
 };
 
 /** Final outcome of one point after all retries. */
@@ -45,20 +40,22 @@ struct PointOutcome {
     int attempts = 0;        //!< attempts consumed (>= 1)
     bool completed = false;
     bool degraded = false;   //!< completed only on the degraded attempt
-    std::vector<SweepFailure> failures;
+    std::vector<AttemptFailure> failures;
 };
 
 /**
- * Crash-recovering sweep: runs every point over the thread pool, and
- * instead of letting one pathological point (a deadlock, a
- * fault-induced failure) abort the whole sweep, retries it with
- * bounded exponential backoff from its last checkpoint. Each point's
- * configuration is handed back with `checkpoint = ON` and a per-point
- * snapshot file, so a failed attempt resumes from the last layer/
- * operation boundary rather than from scratch; the final attempt runs
- * degraded with a 4x watchdog budget to outwait transient stalls
- * (checkpoint restore accepts that, policy keys are not structural).
- * Per-point attempt counts and failure causes land in the JSON summary.
+ * Crash-recovering sweep: runs every point over the thread pool, each
+ * under the shared retry ladder (runWithRecovery, common/recovery.hpp),
+ * so one pathological point (a deadlock, a corrupt snapshot) cannot
+ * abort the whole sweep. Each point's configuration is handed back
+ * with `checkpoint = ON` and a per-point snapshot file, so a retry
+ * resumes from the last layer/operation boundary rather than from
+ * scratch; the final attempt runs degraded with a widened watchdog to
+ * outwait transient stalls (checkpoint restore accepts that, policy
+ * keys are not structural). As everywhere on the ladder, only
+ * DeadlockError and CheckpointError are retried: a deterministic error
+ * fails the point after one attempt. Per-point attempt counts and
+ * failure causes land in the JSON summary.
  */
 class RecoveringSweepRunner
 {
@@ -68,7 +65,8 @@ class RecoveringSweepRunner
      * configuration with the runner's checkpoint/degradation overlay
      * applied). When `attempt.resume_from` is non-empty, a snapshot of
      * a previous attempt exists at that path and should be resumed.
-     * Throwing signals failure and triggers the retry path.
+     * Throwing DeadlockError or CheckpointError triggers a retry; any
+     * other exception fails the point.
      */
     using PointFn =
         std::function<void(const HardwareConfig &cfg,
@@ -86,7 +84,7 @@ class RecoveringSweepRunner
      * @param max_attempts attempts per point (>= 1); the last one runs
      *        degraded when max_attempts > 1
      * @param backoff_base first retry delay, doubled per attempt and
-     *        capped at 2 s; zero disables sleeping (tests)
+     *        capped at kMaxBackoff; zero disables sleeping (tests)
      */
     explicit RecoveringSweepRunner(
         std::size_t threads = 0, int max_attempts = 3,

@@ -646,4 +646,15 @@ HardwareConfig::structuralText() const
     return c.toConfigText();
 }
 
+HardwareConfig
+HardwareConfig::silenced() const
+{
+    HardwareConfig c = *this;
+    c.trace = false;
+    c.checkpoint = false;
+    c.autotune = false;
+    c.explore = false;
+    return c;
+}
+
 } // namespace stonne

@@ -295,10 +295,11 @@ struct HardwareConfig {
     index_t job_budget_wall_ms = 0;
 
     /**
-     * Retries after a job's first failed attempt (DeadlockError or
-     * CheckpointError): bounded exponential backoff between attempts,
-     * and the final attempt runs degraded (watchdog budget x4) exactly
-     * like the recovering sweep runner. 0 disables retrying.
+     * Retries after a service job's first failed attempt (DeadlockError
+     * or CheckpointError), for every job kind: capped exponential
+     * backoff between attempts, and the final attempt runs degraded
+     * (watchdog budget x4) — the retry ladder of common/recovery.hpp,
+     * shared with the recovering sweep runner. 0 disables retrying.
      */
     index_t job_retries = 2;
 
@@ -359,6 +360,15 @@ struct HardwareConfig {
      * and the dse cache keys simulation outcomes on it.
      */
     std::string structuralText() const;
+
+    /**
+     * The same hardware with the side-effect knobs off (trace,
+     * checkpoint, autotune, explore): what candidate evaluations and
+     * service jobs run under, so concurrent workers never race on
+     * shared trace/checkpoint files and never re-enter the tuner or
+     * the explorer. Structurally identical, so cache keys are equal.
+     */
+    HardwareConfig silenced() const;
 };
 
 } // namespace stonne

@@ -49,21 +49,6 @@ policyText(const TuneOptions &o)
     return os.str();
 }
 
-/**
- * The configuration candidate evaluations run under: structurally
- * identical to the tuned one, but with the side-effect knobs silenced
- * so worker threads never race on shared trace/checkpoint files (and a
- * tuned run never re-enters the tuner).
- */
-HardwareConfig
-evalConfig(HardwareConfig cfg)
-{
-    cfg.trace = false;
-    cfg.checkpoint = false;
-    cfg.autotune = false;
-    return cfg;
-}
-
 } // namespace
 
 double
@@ -114,7 +99,7 @@ TuneReport::summary() const
 }
 
 AutoTuner::AutoTuner(const HardwareConfig &cfg, TuneOptions opts)
-    : cfg_(evalConfig(cfg)), opts_(std::move(opts)),
+    : cfg_(cfg.silenced()), opts_(std::move(opts)),
       own_cache_(std::make_unique<ResultCache>(opts_.cache_file)),
       cache_(own_cache_.get())
 {
@@ -125,7 +110,7 @@ AutoTuner::AutoTuner(const HardwareConfig &cfg, TuneOptions opts)
 
 AutoTuner::AutoTuner(const HardwareConfig &cfg, TuneOptions opts,
                      ResultCache &shared_cache)
-    : cfg_(evalConfig(cfg)), opts_(std::move(opts)), cache_(&shared_cache)
+    : cfg_(cfg.silenced()), opts_(std::move(opts)), cache_(&shared_cache)
 {
     fatalIf(opts_.top_k <= 0, "AutoTuner: top_k must be positive, got ",
             opts_.top_k);

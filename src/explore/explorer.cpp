@@ -31,19 +31,6 @@ policyText(const ExploreOptions &o)
     return os.str();
 }
 
-/** Variant as actually simulated: side-effect knobs silenced so the
- *  sweep's worker threads never race on shared trace/checkpoint files
- *  (structurally identical, so cache keys are unaffected). */
-HardwareConfig
-evalConfig(HardwareConfig cfg)
-{
-    cfg.trace = false;
-    cfg.checkpoint = false;
-    cfg.autotune = false;
-    cfg.explore = false;
-    return cfg;
-}
-
 AreaTable
 areaTableFor(const HardwareConfig &cfg)
 {
@@ -202,7 +189,7 @@ ExploreReport::json() const
 }
 
 Explorer::Explorer(const HardwareConfig &base, ExploreOptions opts)
-    : base_(evalConfig(base)), opts_(std::move(opts)),
+    : base_(base.silenced()), opts_(std::move(opts)),
       own_cache_(std::make_unique<dse::ResultCache>(opts_.cache_file)),
       cache_(own_cache_.get())
 {
@@ -213,7 +200,7 @@ Explorer::Explorer(const HardwareConfig &base, ExploreOptions opts)
 
 Explorer::Explorer(const HardwareConfig &base, ExploreOptions opts,
                    dse::ResultCache &shared_cache)
-    : base_(evalConfig(base)), opts_(std::move(opts)),
+    : base_(base.silenced()), opts_(std::move(opts)),
       cache_(&shared_cache)
 {
     fatalIf(opts_.top_k <= 0, "Explorer: top_k must be positive, got ",
@@ -341,7 +328,7 @@ Explorer::exploreLayer(const LayerSpec &layer)
             work.push_back([this, &cands, &slots, &dense_data,
                             &sparse_data, i] {
                 const Candidate &c = cands[slots[i].cand];
-                Stonne st(evalConfig(c.point.cfg));
+                Stonne st(c.point.cfg.silenced());
                 const SimulationResult r =
                     c.has_tile
                         ? runLayer(st, c.layer, dense_data, c.tile)

@@ -4,12 +4,9 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <thread>
 #include <utility>
 
-#include "checkpoint/archive.hpp"
 #include "common/logging.hpp"
-#include "common/watchdog.hpp"
 #include "dse/tuner.hpp"
 #include "explore/explorer.hpp"
 #include "engine/output_module.hpp"
@@ -292,73 +289,65 @@ ServiceDaemon::handleLine(const std::string &line)
     return !shutdownRequested();
 }
 
-void
-ServiceDaemon::runJob(const JobRequest &req, const HardwareConfig &cfg,
-                      Clock::time_point admitted_at)
+double
+ServiceDaemon::startJob(const std::string &id, Clock::time_point admitted_at)
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
         --queued_;
     }
     const double queue_wait_ms = msSince(admitted_at);
-    emitStatus(req.id, "running");
+    emitStatus(id, "running");
+    return queue_wait_ms;
+}
 
-    EnvelopeOptions eo;
-    eo.max_attempts = static_cast<int>(cfg.job_retries) + 1;
-    eo.backoff_base = opts_.backoff_base;
-    eo.budget_wall_ms = cfg.job_budget_wall_ms;
-    if (req.repeat > 1)
-        eo.snapshot_path = snapshotPathFor(req.id);
-    eo.cache = &cache_;
-    eo.use_cache = req.use_cache;
-    eo.on_retry = [this, &req](int next_attempt, const std::string &cause,
-                               bool degraded) {
+RecoveryPolicy
+ServiceDaemon::policyFor(const std::string &id, const HardwareConfig &cfg)
+{
+    RecoveryPolicy p;
+    p.max_attempts = static_cast<int>(cfg.job_retries) + 1;
+    p.backoff_base = opts_.backoff_base;
+    p.budget_wall_ms = cfg.job_budget_wall_ms;
+    p.on_retry = [this, id](int next_attempt, const std::string &cause,
+                            bool degraded) {
         {
             std::lock_guard<std::mutex> lock(mu_);
             ++counters_.retries;
         }
-        JsonValue r = JsonValue::makeObject();
-        r.set("type", "status");
-        r.set("id", req.id);
-        r.set("state", "retrying");
-        r.set("attempt", static_cast<std::int64_t>(next_attempt));
-        r.set("degraded", degraded);
-        r.set("cause", cause);
-        emit(r);
+        JsonValue s = JsonValue::makeObject();
+        s.set("type", "status");
+        s.set("id", id);
+        s.set("state", "retrying");
+        s.set("attempt", static_cast<std::int64_t>(next_attempt));
+        s.set("degraded", degraded);
+        s.set("cause", cause);
+        emit(s);
     };
+    return p;
+}
 
-    const JobOutcome out = runJobEnvelope(cfg, req.layer, req.tile,
-                                          req.seed, req.sparsity,
-                                          req.repeat, eo);
-
+void
+ServiceDaemon::reply(const std::string &id, const RecoveryOutcome &out,
+                     JsonValue summary, const JsonValue &service,
+                     double queue_wait_ms, Clock::time_point admitted_at,
+                     std::uint64_t cache_hits)
+{
     JsonValue r = JsonValue::makeObject();
     r.set("type", "result");
-    r.set("id", req.id);
+    r.set("id", id);
     r.set("status", out.status);
-    if (out.status == "done") {
-        if (out.cache_hit) {
-            JsonValue s = JsonValue::makeObject();
-            s.set("cycles", static_cast<std::uint64_t>(out.cached->cycles));
-            s.set("energy_uj", out.cached->energy_uj);
-            s.set("area_um2", out.cached->area_um2);
-            s.set("ms_utilization", out.cached->ms_utilization);
-            r["summary"] = std::move(s);
-        } else {
-            r["summary"] = OutputModule::summary(cfg, out.result);
-        }
-    } else {
+    if (out.status == "done")
+        r["summary"] = std::move(summary);
+    else
         r.set("error", out.error);
-    }
 
     JsonValue svc = JsonValue::makeObject();
     svc.set("attempts", static_cast<std::int64_t>(out.attempts));
     svc.set("degraded", out.degraded);
-    svc.set("cache_hit", out.cache_hit);
-    svc.set("ops", static_cast<std::uint64_t>(req.repeat));
-    svc.set("ops_resumed", static_cast<std::uint64_t>(out.ops_resumed));
+    for (const auto &[key, value] : service.members())
+        svc[key] = value;
     svc.set("queue_wait_ms", queue_wait_ms);
     svc.set("wall_ms", msSince(admitted_at) - queue_wait_ms);
-    svc.set("output_crc32", static_cast<std::uint64_t>(out.output_crc32));
     JsonValue failures = JsonValue::makeArray();
     for (const AttemptFailure &f : out.failures) {
         JsonValue fj = JsonValue::makeObject();
@@ -366,8 +355,8 @@ ServiceDaemon::runJob(const JobRequest &req, const HardwareConfig &cfg,
         fj.set("cause", f.cause);
         failures.append(std::move(fj));
     }
+    svc["failures"] = std::move(failures);
     r["service"] = std::move(svc);
-    r["service"]["failures"] = std::move(failures);
 
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -377,110 +366,98 @@ ServiceDaemon::runJob(const JobRequest &req, const HardwareConfig &cfg,
             ++counters_.timeout;
         else
             ++counters_.failed;
-        if (out.cache_hit)
-            ++counters_.cache_hits;
+        counters_.cache_hits += cache_hits;
     }
-    finishJob(req.id);
+    finishJob(id);
     emit(r);
+}
+
+void
+ServiceDaemon::runJob(const JobRequest &req, const HardwareConfig &cfg,
+                      Clock::time_point admitted_at)
+{
+    const double queue_wait_ms = startJob(req.id, admitted_at);
+
+    EnvelopeOptions eo{policyFor(req.id, cfg),
+                       req.use_cache ? &cache_ : nullptr};
+    if (req.repeat > 1)
+        eo.snapshot_path = snapshotPathFor(req.id);
+    const JobOutcome out = runJobEnvelope(cfg, req.layer, req.tile,
+                                          req.seed, req.sparsity,
+                                          req.repeat, eo);
+
+    JsonValue summary;
+    if (out.cache_hit) {
+        summary = JsonValue::makeObject();
+        summary.set("cycles", static_cast<std::uint64_t>(out.cached->cycles));
+        summary.set("energy_uj", out.cached->energy_uj);
+        summary.set("area_um2", out.cached->area_um2);
+        summary.set("ms_utilization", out.cached->ms_utilization);
+    } else if (out.status == "done") {
+        summary = OutputModule::summary(cfg, out.result);
+    }
+
+    JsonValue svc = JsonValue::makeObject();
+    svc.set("cache_hit", out.cache_hit);
+    svc.set("ops", static_cast<std::uint64_t>(req.repeat));
+    svc.set("ops_resumed", static_cast<std::uint64_t>(out.ops_resumed));
+    svc.set("output_crc32", static_cast<std::uint64_t>(out.output_crc32));
+    reply(req.id, out, std::move(summary), svc, queue_wait_ms, admitted_at,
+          out.cache_hit ? 1 : 0);
 }
 
 void
 ServiceDaemon::runTune(const JobRequest &req, const HardwareConfig &cfg,
                        Clock::time_point admitted_at)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        --queued_;
-    }
-    const double queue_wait_ms = msSince(admitted_at);
-    emitStatus(req.id, "running");
+    const double queue_wait_ms = startJob(req.id, admitted_at);
 
-    JsonValue r = JsonValue::makeObject();
-    r.set("type", "result");
-    r.set("id", req.id);
+    JsonValue summary;
     std::uint64_t hit_count = 0;
-    bool ok = false;
-    try {
-        dse::TuneOptions topts;
-        topts.top_k = req.top_k ? *req.top_k : cfg.dse_top_k;
-        // The daemon's workers are the parallelism; a nested candidate
-        // pool per tune job would oversubscribe the host.
-        topts.threads = 1;
-        topts.sparsity = req.sparsity;
-        topts.seed = req.seed;
-        dse::AutoTuner tuner(cfg, topts, cache_);
-        const dse::TuneReport rep = tuner.tuneLayer(req.layer);
-        hit_count = rep.cache_hits;
-        ok = true;
+    const RecoveryOutcome out =
+        runWithRecovery(policyFor(req.id, cfg), [&](const Attempt &attempt) {
+            dse::TuneOptions topts;
+            topts.top_k = req.top_k ? *req.top_k : cfg.dse_top_k;
+            // The daemon's workers are the parallelism; a nested
+            // candidate pool per tune job would oversubscribe the host.
+            topts.threads = 1;
+            topts.sparsity = req.sparsity;
+            topts.seed = req.seed;
+            dse::AutoTuner tuner(attempt.config(cfg), topts, cache_);
+            const dse::TuneReport rep = tuner.tuneLayer(req.layer);
+            hit_count = rep.cache_hits;
 
-        r.set("status", "done");
-        JsonValue s = JsonValue::makeObject();
-        s.set("chosen_tile", rep.best.canonical());
-        s.set("chosen_cycles", static_cast<std::uint64_t>(rep.best_cycles));
-        s.set("greedy_tile", rep.greedy_tile.canonical());
-        s.set("greedy_cycles",
-              static_cast<std::uint64_t>(rep.greedy_cycles));
-        s.set("space_size", rep.space_size);
-        s.set("evaluated", static_cast<std::uint64_t>(rep.ranked.size()));
-        s.set("cache_hits", rep.cache_hits);
-        s.set("simulations_run", rep.simulations_run);
-        s.set("rank_correlation", rep.rank_correlation);
-        r["summary"] = std::move(s);
-    } catch (const std::exception &e) {
-        r.set("status", "failed");
-        r.set("error", e.what());
-    }
+            summary = JsonValue::makeObject();
+            summary.set("chosen_tile", rep.best.canonical());
+            summary.set("chosen_cycles",
+                        static_cast<std::uint64_t>(rep.best_cycles));
+            summary.set("greedy_tile", rep.greedy_tile.canonical());
+            summary.set("greedy_cycles",
+                        static_cast<std::uint64_t>(rep.greedy_cycles));
+            summary.set("space_size", rep.space_size);
+            summary.set("evaluated",
+                        static_cast<std::uint64_t>(rep.ranked.size()));
+            summary.set("cache_hits", rep.cache_hits);
+            summary.set("simulations_run", rep.simulations_run);
+            summary.set("rank_correlation", rep.rank_correlation);
+        });
 
     JsonValue svc = JsonValue::makeObject();
-    svc.set("attempts", static_cast<std::int64_t>(1));
-    svc.set("degraded", false);
     svc.set("cache_hit", hit_count > 0);
-    svc.set("queue_wait_ms", queue_wait_ms);
-    svc.set("wall_ms", msSince(admitted_at) - queue_wait_ms);
-    r["service"] = std::move(svc);
-
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (ok)
-            ++counters_.done;
-        else
-            ++counters_.failed;
-        counters_.cache_hits += hit_count;
-    }
-    finishJob(req.id);
-    emit(r);
+    reply(req.id, out, std::move(summary), svc, queue_wait_ms, admitted_at,
+          hit_count);
 }
 
 void
 ServiceDaemon::runExplore(const JobRequest &req, const HardwareConfig &cfg,
                           Clock::time_point admitted_at)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        --queued_;
-    }
-    const double queue_wait_ms = msSince(admitted_at);
-    emitStatus(req.id, "running");
+    const double queue_wait_ms = startJob(req.id, admitted_at);
 
-    JsonValue r = JsonValue::makeObject();
-    r.set("type", "result");
-    r.set("id", req.id);
+    JsonValue summary;
     std::uint64_t hit_count = 0;
-    int attempts = 0;
-    bool ok = false;
-    bool degraded = false;
-    bool timed_out = false;
-    const int max_attempts = static_cast<int>(cfg.job_retries) + 1;
-    while (attempts < max_attempts && !ok && !timed_out) {
-        ++attempts;
-        HardwareConfig attempt_cfg = cfg;
-        if (attempts == max_attempts && max_attempts > 1) {
-            // Last rung of the ladder, as the run envelope does: a
-            // patient watchdog.
-            attempt_cfg.watchdog_cycles = cfg.watchdog_cycles * 4;
-            degraded = true;
-        }
-        try {
+    const RecoveryOutcome out =
+        runWithRecovery(policyFor(req.id, cfg), [&](const Attempt &attempt) {
             explore::ExploreOptions eopts;
             eopts.top_k = req.top_k ? *req.top_k : cfg.explore_top_k;
             eopts.axes = req.axes.empty() ? cfg.explore_axes : req.axes;
@@ -490,86 +467,28 @@ ServiceDaemon::runExplore(const JobRequest &req, const HardwareConfig &cfg,
             eopts.threads = 1;
             eopts.sparsity = req.sparsity;
             eopts.seed = req.seed;
-            explore::Explorer explorer(attempt_cfg, eopts, cache_);
+            explore::Explorer explorer(attempt.config(cfg), eopts, cache_);
             const explore::ExploreReport rep =
                 explorer.exploreLayer(req.layer);
             hit_count = rep.cache_hits;
-            ok = true;
-            r.set("status", "done");
-            r["summary"] = rep.json();
-        } catch (const BudgetExceededError &e) {
-            timed_out = true;
-            r.set("status", "timeout");
-            r.set("error", e.what());
-        } catch (const std::exception &e) {
-            const bool retryable =
-                dynamic_cast<const DeadlockError *>(&e) != nullptr ||
-                dynamic_cast<const CheckpointError *>(&e) != nullptr;
-            if (retryable && attempts < max_attempts) {
-                {
-                    std::lock_guard<std::mutex> lock(mu_);
-                    ++counters_.retries;
-                }
-                JsonValue s = JsonValue::makeObject();
-                s.set("type", "status");
-                s.set("id", req.id);
-                s.set("state", "retrying");
-                s.set("attempt",
-                      static_cast<std::int64_t>(attempts + 1));
-                s.set("degraded", attempts + 1 == max_attempts);
-                s.set("cause", std::string(e.what()));
-                emit(s);
-                if (opts_.backoff_base.count() > 0)
-                    std::this_thread::sleep_for(opts_.backoff_base *
-                                                attempts);
-                continue;
-            }
-            r.set("status", "failed");
-            r.set("error", e.what());
-            break;
-        }
-    }
+            summary = rep.json();
+        });
 
     JsonValue svc = JsonValue::makeObject();
-    svc.set("attempts", static_cast<std::int64_t>(attempts));
-    svc.set("degraded", degraded);
     svc.set("cache_hit", hit_count > 0);
-    svc.set("queue_wait_ms", queue_wait_ms);
-    svc.set("wall_ms", msSince(admitted_at) - queue_wait_ms);
-    r["service"] = std::move(svc);
-
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (ok)
-            ++counters_.done;
-        else if (timed_out)
-            ++counters_.timeout;
-        else
-            ++counters_.failed;
-        counters_.cache_hits += hit_count;
-    }
-    finishJob(req.id);
-    emit(r);
+    reply(req.id, out, std::move(summary), svc, queue_wait_ms, admitted_at,
+          hit_count);
 }
 
 void
 ServiceDaemon::runModel(const JobRequest &req, const HardwareConfig &cfg,
                         Clock::time_point admitted_at)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        --queued_;
-    }
-    const double queue_wait_ms = msSince(admitted_at);
-    emitStatus(req.id, "running");
-
-    JsonValue r = JsonValue::makeObject();
-    r.set("type", "result");
-    r.set("id", req.id);
+    const double queue_wait_ms = startJob(req.id, admitted_at);
 
     DnnModel model;
     std::vector<Tensor> inputs;
-    bool loaded = false;
+    ModelJobOutcome out;
     try {
         model = loadModelFromFile(req.model_path, req.seed);
         fatalIf(model.layers.empty(), "model '" + req.model_path +
@@ -592,35 +511,17 @@ ServiceDaemon::runModel(const JobRequest &req, const HardwareConfig &cfg,
             in.fillUniform(rng, 0.0f, 1.0f);
             inputs.push_back(std::move(in));
         }
-        loaded = true;
     } catch (const std::exception &e) {
-        r.set("status", "failed");
-        r.set("error", e.what());
+        // A model that does not load is a deterministic error: one
+        // attempt, no retry.
+        out.attempts = 1;
+        out.failures.push_back({1, e.what()});
+        out.error = e.what();
     }
 
-    ModelJobOutcome out;
-    if (loaded) {
-        ModelEnvelopeOptions eo;
-        eo.max_attempts = static_cast<int>(cfg.job_retries) + 1;
-        eo.backoff_base = opts_.backoff_base;
-        eo.budget_wall_ms = cfg.job_budget_wall_ms;
+    if (out.attempts == 0) {
+        ModelEnvelopeOptions eo{policyFor(req.id, cfg), {}};
         eo.snapshot_path = snapshotPathFor(req.id);
-        eo.on_retry = [this, &req](int next_attempt,
-                                   const std::string &cause,
-                                   bool degraded) {
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++counters_.retries;
-            }
-            JsonValue s = JsonValue::makeObject();
-            s.set("type", "status");
-            s.set("id", req.id);
-            s.set("state", "retrying");
-            s.set("attempt", static_cast<std::int64_t>(next_attempt));
-            s.set("degraded", degraded);
-            s.set("cause", cause);
-            emit(s);
-        };
         // Quarantine-then-migrate is the first rung of the ladder; the
         // status stream surfaces each transition as it happens so a
         // client watching the job sees the degradation live.
@@ -643,19 +544,10 @@ ServiceDaemon::runModel(const JobRequest &req, const HardwareConfig &cfg,
                   static_cast<std::uint64_t>(resume_cycle));
             emit(s);
         };
-
         out = runModelJobEnvelope(model, cfg, inputs, eo);
-        r.set("status", out.status);
-        if (out.status == "done")
-            r["summary"] = std::move(out.report);
-        else
-            r.set("error", out.error);
     }
 
     JsonValue svc = JsonValue::makeObject();
-    svc.set("attempts",
-            static_cast<std::int64_t>(loaded ? out.attempts : 1));
-    svc.set("degraded", out.degraded);
     svc.set("cache_hit", false);
     svc.set("batch", static_cast<std::int64_t>(req.batch));
     JsonValue degraded_cores = JsonValue::makeArray();
@@ -672,30 +564,8 @@ ServiceDaemon::runModel(const JobRequest &req, const HardwareConfig &cfg,
         finished.append(JsonValue::makeInt(static_cast<std::int64_t>(c)));
     svc["cores_finished"] = std::move(finished);
     svc.set("output_crc32", static_cast<std::uint64_t>(out.output_crc32));
-    svc.set("queue_wait_ms", queue_wait_ms);
-    svc.set("wall_ms", msSince(admitted_at) - queue_wait_ms);
-    JsonValue failures = JsonValue::makeArray();
-    for (const AttemptFailure &f : out.failures) {
-        JsonValue fj = JsonValue::makeObject();
-        fj.set("attempt", static_cast<std::int64_t>(f.attempt));
-        fj.set("cause", f.cause);
-        failures.append(std::move(fj));
-    }
-    svc["failures"] = std::move(failures);
-    r["service"] = std::move(svc);
-
-    const bool ok = loaded && out.status == "done";
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (ok)
-            ++counters_.done;
-        else if (loaded && out.status == "timeout")
-            ++counters_.timeout;
-        else
-            ++counters_.failed;
-    }
-    finishJob(req.id);
-    emit(r);
+    reply(req.id, out, std::move(out.report), svc, queue_wait_ms,
+          admitted_at, 0);
 }
 
 void

@@ -42,6 +42,7 @@
 
 #include "common/config.hpp"
 #include "common/json_writer.hpp"
+#include "common/recovery.hpp"
 #include "common/sweep_pool.hpp"
 #include "dse/cache.hpp"
 #include "service/protocol.hpp"
@@ -140,6 +141,21 @@ class ServiceDaemon
     void emitStatus(const std::string &id, const std::string &state);
     void emitError(const std::string &id, const std::string &code,
                    const std::string &message, bool rejected_job);
+    /** Leave the queue and stream `running`; returns the queue wait. */
+    double startJob(const std::string &id,
+                    std::chrono::steady_clock::time_point admitted_at);
+    /** The job's retry policy; retries stream `retrying` lines. */
+    RecoveryPolicy policyFor(const std::string &id,
+                             const HardwareConfig &cfg);
+    /**
+     * Emit a job's result line (`service` = the job-specific members of
+     * its service block), count its outcome and retire its id.
+     */
+    void reply(const std::string &id, const RecoveryOutcome &out,
+               JsonValue summary, const JsonValue &service,
+               double queue_wait_ms,
+               std::chrono::steady_clock::time_point admitted_at,
+               std::uint64_t cache_hits);
     void runJob(const JobRequest &req, const HardwareConfig &cfg,
                 std::chrono::steady_clock::time_point admitted_at);
     void runTune(const JobRequest &req, const HardwareConfig &cfg,

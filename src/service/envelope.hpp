@@ -2,42 +2,36 @@
  * @file
  * Per-job robustness envelope of the simulation service.
  *
- * Every admitted run job executes inside this envelope:
+ * Every admitted run and run_model job executes inside this envelope.
+ * Retries, the degraded final attempt, the shared wall deadline, the
+ * classification of failures (budgets are terminal `timeout`s,
+ * DeadlockError and CheckpointError are retried, anything else fails
+ * at once) and the per-attempt causes are the one retry ladder of
+ * common/recovery.hpp, runWithRecovery(); the daemon's tune and
+ * explore jobs and the benchmarks' recovering sweep run on the same
+ * function. What the envelope adds on top:
  *
  *  - budgets: the configuration's `job_budget_cycles` arms the
- *    progress watchdog's simulated-cycle ceiling; the envelope's wall
- *    budget arms a host-clock deadline shared by all attempts of the
- *    job. Crossing either throws BudgetExceededError and reports the
- *    job as `timeout` — terminal, never retried (the run was making
- *    progress; a different policy cannot help).
- *
- *  - retry with backoff: DeadlockError and CheckpointError are the
- *    retryable failures. Between attempts the envelope sleeps
- *    base * 2^(attempt-1) capped at 2 s, and the *final* attempt runs
- *    degraded exactly like the recovering sweep runner: the watchdog
- *    window widened x4 (outwaits transient stalls).
+ *    progress watchdog's simulated-cycle ceiling; the ladder's wall
+ *    deadline is armed on the engine so a long attempt is cut short.
  *
  *  - resume-instead-of-restart: a multi-operation job (`repeat` > 1)
  *    snapshots engine state + merged results at operation boundaries;
  *    a retry resumes from the snapshot instead of re-simulating the
- *    completed operations. A corrupt snapshot is deleted and the
- *    attempt restarts clean — damage never fails the job by itself.
+ *    completed operations. A corrupt snapshot is deleted by the ladder
+ *    and the retry restarts clean — damage never fails the job by
+ *    itself.
  *
  *  - warm answers: cacheable jobs (dense controller, single op, no
  *    faults) are first served from the shared design-space ResultCache
  *    and record their outcome into it, so a re-submitted point costs a
  *    hash lookup instead of a simulation. Keys are tuner-compatible:
  *    a tune job's evaluations warm run jobs and vice versa.
- *
- * Any other exception (configuration conflicts, protocol-level
- * mistakes that slipped admission) is terminal: retrying cannot fix a
- * deterministic error.
  */
 
 #ifndef STONNE_SERVICE_ENVELOPE_HPP
 #define STONNE_SERVICE_ENVELOPE_HPP
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -46,6 +40,7 @@
 
 #include "common/config.hpp"
 #include "common/json_writer.hpp"
+#include "common/recovery.hpp"
 #include "controller/layer.hpp"
 #include "controller/tile.hpp"
 #include "dse/cache.hpp"
@@ -54,50 +49,16 @@
 
 namespace stonne::service {
 
-/** One failed attempt inside the envelope. */
-struct AttemptFailure {
-    int attempt = 0;
-    std::string cause;
-};
-
-/** Envelope policy for one job. */
-struct EnvelopeOptions {
-    /** Total attempts (first try + retries); >= 1. */
-    int max_attempts = 3;
-
-    /** Backoff base; attempt n sleeps base * 2^(n-1). 0 = no sleep. */
-    std::chrono::milliseconds backoff_base{50};
-
-    /** Backoff ceiling. */
-    std::chrono::milliseconds backoff_cap{2000};
-
-    /** Whole-job wall-clock budget in ms (0 = unbounded). */
-    index_t budget_wall_ms = 0;
-
-    /** Snapshot file for multi-op jobs ("" disables snapshots). */
-    std::string snapshot_path;
-
+/** Envelope policy for one `run` job. */
+struct EnvelopeOptions : RecoveryPolicy {
     /** Shared result cache (nullptr = no caching). */
     dse::ResultCache *cache = nullptr;
-    bool use_cache = true;
-
-    /** Called before each retry: (next_attempt, cause, degraded). */
-    std::function<void(int, const std::string &, bool)> on_retry;
 };
 
 /** What happened to one job. */
-struct JobOutcome {
-    /** done | failed | timeout */
-    std::string status = "failed";
-
-    int attempts = 0;
-    bool degraded = false;   //!< the final attempt ran degraded
+struct JobOutcome : RecoveryOutcome {
     bool cache_hit = false;  //!< served from the shared result cache
     index_t ops_resumed = 0; //!< operations skipped via the snapshot
-    std::vector<AttemptFailure> failures;
-
-    /** Terminal error text (failed / timeout). */
-    std::string error;
 
     /** Full result when status == "done" and !cache_hit. */
     SimulationResult result;
@@ -111,8 +72,8 @@ struct JobOutcome {
 
 /**
  * Run one `run` job under the envelope. `cfg` carries the per-op cycle
- * budget (`job_budget_cycles`) and the watchdog window; trace/
- * checkpoint/autotune side effects are silenced for service jobs.
+ * budget (`job_budget_cycles`) and the watchdog window; the job runs
+ * cfg.silenced(). A cache hit makes no attempt (`attempts` = 0).
  * Never throws: every failure mode lands in the returned outcome.
  */
 JobOutcome runJobEnvelope(const HardwareConfig &cfg, const LayerSpec &layer,
@@ -121,25 +82,7 @@ JobOutcome runJobEnvelope(const HardwareConfig &cfg, const LayerSpec &layer,
                           index_t repeat, const EnvelopeOptions &opts);
 
 /** Envelope policy for one `run_model` job (multi-core composition). */
-struct ModelEnvelopeOptions {
-    /** Total attempts (first try + retries); >= 1. */
-    int max_attempts = 3;
-
-    /** Backoff base; attempt n sleeps base * 2^(n-1). 0 = no sleep. */
-    std::chrono::milliseconds backoff_base{50};
-
-    /** Backoff ceiling. */
-    std::chrono::milliseconds backoff_cap{2000};
-
-    /** Whole-job wall-clock budget in ms (0 = unbounded). */
-    index_t budget_wall_ms = 0;
-
-    /** Snapshot file for resume-instead-of-restart ("" disables). */
-    std::string snapshot_path;
-
-    /** Called before each retry: (next_attempt, cause, degraded). */
-    std::function<void(int, const std::string &, bool)> on_retry;
-
+struct ModelEnvelopeOptions : RecoveryPolicy {
     /** Called on each in-run quarantine event: (sick core, cause,
      *  cumulative migrations, global resume cycle). */
     std::function<void(index_t, const std::string &, count_t, cycle_t)>
@@ -147,13 +90,7 @@ struct ModelEnvelopeOptions {
 };
 
 /** What happened to one `run_model` job. */
-struct ModelJobOutcome {
-    /** done | failed | timeout */
-    std::string status = "failed";
-
-    int attempts = 0;
-    bool degraded = false; //!< the final attempt ran degraded
-
+struct ModelJobOutcome : RecoveryOutcome {
     /** Cores quarantined during the completing attempt. */
     std::vector<index_t> degraded_cores;
     /** Work-migration events of the completing attempt. */
@@ -164,11 +101,6 @@ struct ModelJobOutcome {
     index_t restore_fallbacks = 0;
     /** Cores that actually finished the job (the healthy set). */
     std::vector<index_t> cores_finished;
-
-    std::vector<AttemptFailure> failures;
-
-    /** Terminal error text (failed / timeout). */
-    std::string error;
 
     /** The runner's full JSON report when status == "done". */
     JsonValue report;
@@ -186,12 +118,13 @@ struct ModelJobOutcome {
  *  1. in-run core quarantine + work migration (fault-tolerant runner):
  *     a per-core terminal fault benches the core and the survivors
  *     finish the job at degraded throughput — no restart at all;
- *  2. retry with backoff, resuming from the job snapshot when one
- *     exists (a corrupt snapshot is deleted and the attempt restarts
- *     clean);
- *  3. final degraded restart: watchdog window x4, fault tolerance OFF
- *     so a systematically sick composition still surfaces its root
- *     cause instead of quarantining every core.
+ *  2. retry with backoff (runWithRecovery), resuming from the job
+ *     snapshot when one exists (a corrupt snapshot is deleted and the
+ *     attempt restarts clean);
+ *  3. the ladder's degraded final attempt (watchdog window x4), run
+ *     with fault tolerance OFF so a systematically sick composition
+ *     still surfaces its root cause instead of quarantining every
+ *     core.
  *
  * Never throws: every failure mode lands in the returned outcome.
  */

@@ -737,6 +737,95 @@ TEST(ServiceDaemon, TuneJobWarmsTheCacheForRunJobs)
     EXPECT_TRUE(warm->find("service")->find("cache_hit")->asBool());
 }
 
+// --- tune and explore run on the same retry ladder -------------------
+
+/** The faulty run request re-typed as a tune or explore job. */
+std::string
+faultySearchRequest(const std::string &type, const std::string &id,
+                    index_t watchdog, index_t retries,
+                    const std::string &extra)
+{
+    std::string req = faultyRunRequest(id, watchdog, retries);
+    const std::string run_type = R"("type":"run")";
+    req.replace(req.find(run_type), run_type.size(),
+                R"("type":")" + type + R"(")");
+    req.insert(req.size() - 1, extra);
+    return req;
+}
+
+TEST(ServiceDaemon, TuneJobRetriesAndDegradesLikeARunJob)
+{
+    const FaultyWorld &fw = faultyWorld();
+    ASSERT_GT(fw.ok, 4);
+    // Every attempt deadlocks, the degraded 4x widening included.
+    const index_t w = (fw.ok - 1) / 4;
+    ASSERT_GE(w, 1) << "thresholds leave no all-attempts-fail window";
+
+    std::ostringstream out;
+    ServiceOptions opts;
+    opts.base = HardwareConfig::maeriLike(64, 16);
+    opts.base.service_workers = 1;
+    opts.backoff_base = std::chrono::milliseconds(0);
+    ServiceDaemon daemon(opts, out);
+
+    EXPECT_TRUE(daemon.handleLine(
+        faultySearchRequest("tune", "t", w, 2, R"(,"top_k":1)")));
+    daemon.finish();
+
+    const auto responses = parseLines(out.str());
+    EXPECT_EQ(statusStates(responses, "t"),
+              (std::vector<std::string>{"queued", "admitted", "running",
+                                        "retrying", "retrying"}));
+    const JsonValue *r = findResult(responses, "t");
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->find("status")->asString(), "failed");
+    const JsonValue &svc = *r->find("service");
+    EXPECT_EQ(svc.find("attempts")->asInt64(), 3);
+    EXPECT_TRUE(svc.find("degraded")->asBool());
+    ASSERT_EQ(svc.find("failures")->items().size(), 3u);
+    for (const JsonValue &f : svc.find("failures")->items())
+        EXPECT_EQ(f.find("cause")->asString().rfind("deadlock: ", 0), 0u);
+    EXPECT_EQ(daemon.counters().retries, 2u);
+    EXPECT_EQ(daemon.counters().failed, 1u);
+}
+
+TEST(ServiceDaemon, ExploreBackoffPastTheWallBudgetTimesOut)
+{
+    const FaultyWorld &fw = faultyWorld();
+    ASSERT_GT(fw.ok, 4);
+    const index_t w = (fw.ok - 1) / 4;
+    ASSERT_GE(w, 1) << "thresholds leave no all-attempts-fail window";
+
+    std::ostringstream out;
+    ServiceOptions opts;
+    opts.base = HardwareConfig::maeriLike(64, 16);
+    opts.base.service_workers = 1;
+    // The first backoff alone outlasts the job's wall budget.
+    opts.backoff_base = std::chrono::milliseconds(5000);
+    ServiceDaemon daemon(opts, out);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_TRUE(daemon.handleLine(faultySearchRequest(
+        "explore", "e", w, 2,
+        R"(,"top_k":1,"axes":"dn_bandwidth=1:1","budget_wall_ms":1500)")));
+    daemon.finish();
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+
+    const auto responses = parseLines(out.str());
+    const JsonValue *r = findResult(responses, "e");
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->find("status")->asString(), "timeout");
+    const JsonValue &svc = *r->find("service");
+    EXPECT_EQ(svc.find("attempts")->asInt64(), 1);
+    ASSERT_EQ(svc.find("failures")->items().size(), 1u);
+    // The ladder never slept into the budget, nor announced a retry.
+    EXPECT_LT(elapsed, std::chrono::milliseconds(5000));
+    EXPECT_EQ(statusStates(responses, "e"),
+              (std::vector<std::string>{"queued", "admitted", "running"}));
+    EXPECT_EQ(daemon.counters().timeout, 1u);
+    EXPECT_EQ(daemon.counters().retries, 0u);
+}
+
 // --- shutdown vs. submit ordering -------------------------------------
 
 TEST(ServiceDaemon, ShutdownBeatsConcurrentSubmitDeterministically)

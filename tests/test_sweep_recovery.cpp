@@ -3,9 +3,9 @@
  * Crash-recovering sweep runner tests. The headline scenario from the
  * checkpoint PR: a fault/watchdog-induced DeadlockError on attempt 1
  * must not kill the sweep — the point retries from its last snapshot,
- * degrades to the exact engine with a widened watchdog on the final
- * attempt, completes bit-identically to an uninterrupted run, and the
- * JSON summary records every attempt with its failure cause.
+ * runs the final attempt degraded (watchdog widened), completes
+ * bit-identically to an uninterrupted run, and the JSON summary records
+ * every attempt with its failure cause.
  */
 
 #include <gtest/gtest.h>
@@ -265,7 +265,7 @@ TEST(SweepRecovery, ExhaustedPointReportsEveryFailureWithoutThrowing)
     const std::vector<PointOutcome> outcomes = runner.run(
         {{"doomed", cfg,
           [&](const HardwareConfig &, const SweepAttempt &) {
-              throw std::runtime_error("boom");
+              throw DeadlockError("boom", "");
           }}});
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_FALSE(outcomes[0].completed);
@@ -275,11 +275,60 @@ TEST(SweepRecovery, ExhaustedPointReportsEveryFailureWithoutThrowing)
         EXPECT_EQ(outcomes[0].failures[static_cast<std::size_t>(i)].attempt,
                   i + 1);
         EXPECT_EQ(outcomes[0].failures[static_cast<std::size_t>(i)].cause,
-                  "boom");
+                  "deadlock: boom");
     }
 
     const std::string j = RecoveringSweepRunner::summary(outcomes).dump();
     EXPECT_NE(j.find("\"points_completed\": 0"), std::string::npos) << j;
+}
+
+TEST(SweepRecovery, DeadlockCauseIsReportedOnceUnprefixed)
+{
+    HardwareConfig cfg = HardwareConfig::maeriLike(64, 16);
+    cfg.checkpoint_file = "test_sweep_cause.ckpt";
+    TempFile snap(cfg.checkpoint_file);
+
+    const DeadlockError stall("no progress for 4 cycles", "report");
+    RecoveringSweepRunner runner(1, 2, std::chrono::milliseconds(0));
+    const std::vector<PointOutcome> outcomes = runner.run(
+        {{"stalls once", cfg,
+          [&](const HardwareConfig &, const SweepAttempt &a) {
+              if (a.attempt == 1)
+                  throw stall;
+          }}});
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].completed);
+    ASSERT_EQ(outcomes[0].failures.size(), 1u);
+    // DeadlockError::what() already carries the "deadlock: " prefix; the
+    // runner reports it unchanged instead of prefixing it again.
+    const std::string &cause = outcomes[0].failures[0].cause;
+    EXPECT_EQ(cause, stall.what());
+    EXPECT_NE(cause.rfind("deadlock: deadlock: ", 0), 0u) << cause;
+}
+
+TEST(SweepRecovery, DeterministicErrorStopsAfterTheFirstAttempt)
+{
+    HardwareConfig cfg = HardwareConfig::maeriLike(64, 16);
+    cfg.checkpoint_file = "test_sweep_deterministic.ckpt";
+    TempFile snap(cfg.checkpoint_file);
+
+    int calls = 0;
+    RecoveringSweepRunner runner(1, 3, std::chrono::milliseconds(0));
+    const std::vector<PointOutcome> outcomes = runner.run(
+        {{"misconfigured", cfg,
+          [&](const HardwareConfig &, const SweepAttempt &) {
+              ++calls;
+              throw std::runtime_error("boom");
+          }}});
+    // Retrying cannot fix a deterministic error: one attempt, reported.
+    EXPECT_EQ(calls, 1);
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_FALSE(outcomes[0].completed);
+    EXPECT_EQ(outcomes[0].attempts, 1);
+    EXPECT_FALSE(outcomes[0].degraded);
+    ASSERT_EQ(outcomes[0].failures.size(), 1u);
+    EXPECT_EQ(outcomes[0].failures[0].attempt, 1);
+    EXPECT_EQ(outcomes[0].failures[0].cause, "boom");
 }
 
 TEST(SweepRecovery, CorruptSnapshotIsDiscardedSoThePointRestartsFresh)
