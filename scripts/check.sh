@@ -4,13 +4,15 @@
 #
 #   scripts/check.sh          # plain build + ctest, then sanitized run
 #   scripts/check.sh --plain  # skip the sanitized pass
+#
+# Both builds compile with -Werror, so a new warning fails the check.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 4)
 
 echo "== plain build =="
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$jobs"
 (cd build && ctest --output-on-failure -j "$jobs")
 
@@ -19,6 +21,7 @@ if [[ "${1:-}" == "--plain" ]]; then
 fi
 
 echo "== ASan+UBSan build =="
-cmake -B build-asan -S . -DSTONNE_SANITIZE=address+undefined >/dev/null
+cmake -B build-asan -S . -DSTONNE_SANITIZE=address+undefined \
+    -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-asan -j "$jobs"
 (cd build-asan && ctest --output-on-failure -j "$jobs")

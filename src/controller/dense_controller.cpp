@@ -643,8 +643,9 @@ DenseController::runGemmSystolic(const Tensor &a, const Tensor &b, Tensor &c)
     (void)dram_.transferCycles(
         std::min(a.size() + b.size(), gb_.capacityElements()) * bpe);
 
-    SystolicArray array(rows, cols, *popn, mn_, *lrn, gb_);
-    // The systolic inner run is closed-form under both engines; its
+    SystolicArray array(rows, cols, *popn, mn_, *lrn, gb_, wd_);
+    // SystolicArray::run accounts each tile's wavefront in closed form
+    // under both engines (ticking the watchdog once per tile); its
     // whole region lands on the closed-form track with the counter
     // deltas attached.
     if (trace_ != nullptr)

@@ -189,6 +189,8 @@ AutoTuner::tuneLayer(const LayerSpec &layer)
         for (const std::size_t i : jobs)
             work.push_back([this, &layer, &data, &slots, i] {
                 Stonne st(cfg_);
+                st.accelerator().watchdog().setWallDeadline(
+                    opts_.wall_deadline);
                 const SimulationResult r =
                     runLayer(st, layer, data, slots[i].et.tile);
                 slots[i].et.simulated_cycles = r.cycles;

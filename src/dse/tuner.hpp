@@ -23,8 +23,10 @@
 #ifndef STONNE_DSE_TUNER_HPP
 #define STONNE_DSE_TUNER_HPP
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,6 +52,10 @@ struct TuneOptions {
     /** Operand sparsity/seed for the synthetic evaluation data. */
     double sparsity = 0.0;
     std::uint64_t seed = 1;
+
+    /** Host wall-clock deadline armed on every candidate simulation
+     *  (nullopt = unbounded); crossing it throws BudgetExceededError. */
+    std::optional<std::chrono::steady_clock::time_point> wall_deadline;
 };
 
 /** One evaluated candidate in a tuning report. */

@@ -329,6 +329,8 @@ Explorer::exploreLayer(const LayerSpec &layer)
                             &sparse_data, i] {
                 const Candidate &c = cands[slots[i].cand];
                 Stonne st(c.point.cfg.silenced());
+                st.accelerator().watchdog().setWallDeadline(
+                    opts_.wall_deadline);
                 const SimulationResult r =
                     c.has_tile
                         ? runLayer(st, c.layer, dense_data, c.tile)

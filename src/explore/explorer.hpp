@@ -17,8 +17,10 @@
 #ifndef STONNE_EXPLORE_EXPLORER_HPP
 #define STONNE_EXPLORE_EXPLORER_HPP
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,6 +49,9 @@ struct ExploreOptions {
     double sparsity = 0.0;
     /** Operand generation seed. */
     std::uint64_t seed = 1;
+    /** Host wall-clock deadline armed on every candidate simulation
+     *  (nullopt = unbounded); crossing it throws BudgetExceededError. */
+    std::optional<std::chrono::steady_clock::time_point> wall_deadline;
 };
 
 /** One cycle-simulated candidate of the exploration. */

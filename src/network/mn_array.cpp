@@ -42,6 +42,23 @@ MultiplierArray::forwardOperands(index_t n)
 }
 
 void
+MultiplierArray::bulkFire(cycle_t busy_cycles, count_t mults,
+                          count_t forwards)
+{
+    const auto ms = static_cast<count_t>(ms_size_);
+    panicIf(mults < busy_cycles || mults > busy_cycles * ms, "fired ",
+            mults, " multipliers in ", busy_cycles,
+            " busy cycles on an array of ", ms_size_);
+    panicIf(forwards > 0 && type_ != MnType::Linear,
+            "operand forwarding on a network without forwarding links");
+    panicIf(forwards > 2 * ms * busy_cycles, "invalid forwarding count ",
+            forwards, " in ", busy_cycles, " busy cycles");
+    mult_ops_->value += mults;
+    forward_ops_->value += forwards;
+    busy_cycles_->value += busy_cycles;
+}
+
+void
 MultiplierArray::forwardPsums(index_t n)
 {
     panicIf(n < 0 || n > ms_size_, "invalid psum forward count ", n);

@@ -35,6 +35,14 @@ class MultiplierArray final : public Unit
      *  Only legal on the linear topology. */
     void forwardOperands(index_t n);
 
+    /**
+     * Account `busy_cycles` cycles that each fired at least one
+     * multiplication, `mults` products and `forwards` neighbour hops in
+     * total: the closed-form equivalent of that many fireMultipliers()
+     * and forwardOperands() calls.
+     */
+    void bulkFire(cycle_t busy_cycles, count_t mults, count_t forwards);
+
     /** Account `n` switches configured as psum forwarders this cycle. */
     void forwardPsums(index_t n);
 

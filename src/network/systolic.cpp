@@ -1,125 +1,135 @@
 #include "network/systolic.hpp"
 
-#include <vector>
+#include <algorithm>
 
 #include "common/logging.hpp"
+#include "common/watchdog.hpp"
 
 namespace stonne {
 
+namespace {
+
+/**
+ * Edge PEs of [0, len) injecting in cycle t of a k-deep wavefront: edge
+ * PE p injects its k operands in cycles [p, p + k).
+ */
+index_t
+edgeInjections(index_t t, index_t len, index_t k)
+{
+    const index_t lo = std::max<index_t>(0, t - k + 1);
+    const index_t hi = std::min(len - 1, t);
+    return hi >= lo ? hi - lo + 1 : 0;
+}
+
+/**
+ * One PE row of a tile: out[j] = sum over kk of a_row[kk] * b[kk][j],
+ * each output accumulated in ascending kk from 0.0f, the order its PE
+ * fires the products in. Fully unrolled fixed-width column blocks keep
+ * the accumulators in registers and let the compiler vectorize across j
+ * without changing any output's summation order.
+ */
+void
+dotRow(const float *a_row, const float *b, index_t ldb, index_t k,
+       index_t nt, float *out)
+{
+    constexpr index_t kBlock = 16;
+    index_t j0 = 0;
+    for (; j0 + kBlock <= nt; j0 += kBlock) {
+        float acc[kBlock] = {};
+        for (index_t kk = 0; kk < k; ++kk) {
+            const float av = a_row[kk];
+            const float *brow = b + kk * ldb + j0;
+#pragma GCC unroll 16
+            for (index_t j = 0; j < kBlock; ++j)
+                acc[j] += av * brow[j];
+        }
+        std::copy(acc, acc + kBlock, out + j0);
+    }
+    for (index_t j = j0; j < nt; ++j) {
+        float acc = 0.0f;
+        for (index_t kk = 0; kk < k; ++kk)
+            acc += a_row[kk] * b[kk * ldb + j];
+        out[j] = acc;
+    }
+}
+
+} // namespace
+
 SystolicArray::SystolicArray(index_t rows, index_t cols,
                              PointToPointNetwork &dn, MultiplierArray &mn,
-                             LinearReductionNetwork &rn, GlobalBuffer &gb)
-    : rows_(rows), cols_(cols), dn_(dn), mn_(mn), rn_(rn), gb_(gb)
+                             LinearReductionNetwork &rn, GlobalBuffer &gb,
+                             Watchdog *watchdog)
+    : rows_(rows), cols_(cols), dn_(dn), mn_(mn), rn_(rn), gb_(gb),
+      wd_(watchdog)
 {
     fatalIf(rows <= 0 || cols <= 0, "systolic array needs positive dims");
     fatalIf(rows * cols != dn.msSize(),
             "systolic array size ", rows * cols,
             " does not match the DN endpoint count ", dn.msSize());
+    fatalIf(!mn.hasForwardingLinks(),
+            "a systolic array needs the linear MN's forwarding links");
 }
 
 cycle_t
 SystolicArray::runTile(const Tensor &a, const Tensor &b, Tensor &c,
-                       index_t m0, index_t n0, index_t mt, index_t nt,
-                       count_t &macs)
+                       index_t m0, index_t n0, index_t mt, index_t nt)
 {
     const index_t k = a.dim(1);
-    const auto idx = [&](index_t i, index_t j) {
-        return static_cast<std::size_t>(i * nt + j);
-    };
-
-    std::vector<float> acc(static_cast<std::size_t>(mt * nt), 0.0f);
-    std::vector<float> a_reg(acc.size(), 0.0f), b_reg(acc.size(), 0.0f);
-    std::vector<char> a_val(acc.size(), 0), b_val(acc.size(), 0);
-    std::vector<float> a_nxt(acc.size()), b_nxt(acc.size());
-    std::vector<char> a_vnx(acc.size()), b_vnx(acc.size());
 
     // Compute wavefront: the last product fires at PE (mt-1, nt-1) in
     // cycle (k - 1) + (mt - 1) + (nt - 1).
     const cycle_t compute_cycles =
         static_cast<cycle_t>(k + mt + nt - 2);
 
-    for (cycle_t t = 0; t < compute_cycles; ++t) {
+    // West-edge row i injects A(m0 + i, kk) in cycle i + kk and
+    // north-edge column j injects B(kk, n0 + j) in cycle j + kk; both
+    // edges peak together in cycle k - 1.
+    const index_t peak = std::min(mt, k) + std::min(nt, k);
+    panicIf(peak > gb_.readBandwidth(), "systolic edge injection of ",
+            peak, " operands a cycle beyond '", gb_.name(),
+            "' read bandwidth (", gb_.readBandwidth(), " reads/cycle)");
+    panicIf(peak > dn_.bandwidth(), "systolic edge injection rejected");
+
+    if (compute_cycles > 0) {
+        // Every cycle but the last in bulk, the last one exactly, so
+        // the per-cycle GB/DN budgets end where stepping leaves them.
+        const cycle_t bulk = compute_cycles - 1;
+        const auto last = static_cast<index_t>(bulk);
+        const index_t a_last = edgeInjections(last, mt, k);
+        const index_t b_last = edgeInjections(last, nt, k);
+        gb_.bulkAdvance(bulk, (mt + nt) * k - a_last - b_last, 0);
+        dn_.bulkAdvance(bulk, mt * k - a_last, 1, PackageKind::Input);
+        dn_.bulkAdvance(bulk, nt * k - b_last, 1, PackageKind::Weight);
+
         gb_.nextCycle();
         dn_.cycle();
-
-        index_t fired = 0, forwards = 0;
-        for (index_t i = 0; i < mt; ++i) {
-            for (index_t j = 0; j < nt; ++j) {
-                // Operand arriving from the west (or the edge injector).
-                float av = 0.0f;
-                char avalid = 0;
-                if (j == 0) {
-                    const auto tt = static_cast<index_t>(t);
-                    if (tt >= i && tt < i + k) {
-                        av = a.at(m0 + i, tt - i);
-                        avalid = 1;
-                        gb_.read();
-                        DataPackage pkg;
-                        pkg.value = av;
-                        pkg.dest_lo = i * cols_;
-                        pkg.dest_hi = i * cols_ + 1;
-                        pkg.kind = PackageKind::Input;
-                        panicIf(!dn_.inject(pkg),
-                                "systolic edge injection rejected");
-                    }
-                } else {
-                    av = a_reg[idx(i, j - 1)];
-                    avalid = a_val[idx(i, j - 1)];
-                    if (avalid)
-                        ++forwards;
-                }
-                // Operand arriving from the north (or the edge injector).
-                float bv = 0.0f;
-                char bvalid = 0;
-                if (i == 0) {
-                    const auto tt = static_cast<index_t>(t);
-                    if (tt >= j && tt < j + k) {
-                        bv = b.at(tt - j, n0 + j);
-                        bvalid = 1;
-                        gb_.read();
-                        DataPackage pkg;
-                        pkg.value = bv;
-                        pkg.dest_lo = j;
-                        pkg.dest_hi = j + 1;
-                        pkg.kind = PackageKind::Weight;
-                        panicIf(!dn_.inject(pkg),
-                                "systolic edge injection rejected");
-                    }
-                } else {
-                    bv = b_reg[idx(i - 1, j)];
-                    bvalid = b_val[idx(i - 1, j)];
-                    if (bvalid)
-                        ++forwards;
-                }
-                a_nxt[idx(i, j)] = av;
-                a_vnx[idx(i, j)] = avalid;
-                b_nxt[idx(i, j)] = bv;
-                b_vnx[idx(i, j)] = bvalid;
-                if (avalid && bvalid) {
-                    acc[idx(i, j)] += av * bv;
-                    ++fired;
-                }
-            }
-        }
-        a_reg.swap(a_nxt);
-        a_val.swap(a_vnx);
-        b_reg.swap(b_nxt);
-        b_val.swap(b_vnx);
-        mn_.fireMultipliers(fired);
-        mn_.forwardOperands(forwards);
-        rn_.accumulate(fired);
-        macs += static_cast<count_t>(fired);
+        panicIf(gb_.readBulk(a_last + b_last) != a_last + b_last,
+                "systolic edge read rejected");
+        panicIf(dn_.injectBulk(a_last, 1, PackageKind::Input) != a_last ||
+                    dn_.injectBulk(b_last, 1, PackageKind::Weight) !=
+                        b_last,
+                "systolic edge injection rejected");
     }
+
+    // PE (i, j) fires in cycles [i + j, i + j + k), so with k > 0 every
+    // compute cycle is busy; each PE off the west (north) edge takes k
+    // operands from its west (north) neighbour.
+    const index_t macs = mt * nt * k;
+    mn_.bulkFire(k > 0 ? compute_cycles : 0, static_cast<count_t>(macs),
+                 static_cast<count_t>(k * (mt * (nt - 1) + (mt - 1) * nt)));
+    rn_.accumulate(macs);
+
+    const index_t ldc = c.dim(1);
+    for (index_t i = 0; i < mt; ++i)
+        dotRow(a.data() + (m0 + i) * k, b.data() + n0, b.dim(1), k, nt,
+               c.data() + (m0 + i) * ldc + n0);
 
     // Drain the output-stationary accumulators through the linear
     // reduction chain into the GB (covered by the per-tile overhead).
-    for (index_t i = 0; i < mt; ++i) {
-        for (index_t j = 0; j < nt; ++j) {
-            if (!gb_.canWrite())
-                gb_.nextCycle();
-            gb_.write();
-            c.at(m0 + i, n0 + j) = acc[idx(i, j)];
-        }
+    for (index_t e = 0; e < mt * nt; ++e) {
+        if (!gb_.canWrite())
+            gb_.nextCycle();
+        gb_.write();
     }
 
     return compute_cycles + kTileOverhead;
@@ -140,8 +150,15 @@ SystolicArray::run(const Tensor &a, const Tensor &b, Tensor &c)
         const index_t mt = std::min(rows_, m - m0);
         for (index_t n0 = 0; n0 < n; n0 += cols_) {
             const index_t nt = std::min(cols_, n - n0);
-            res.cycles += runTile(a, b, c, m0, n0, mt, nt, res.macs);
+            const cycle_t cycles = runTile(a, b, c, m0, n0, mt, nt);
+            const auto macs = static_cast<count_t>(mt * nt * k);
+            res.cycles += cycles;
+            res.macs += macs;
             ++res.tiles;
+            // Progress: the tile's products and drained outputs.
+            if (wd_ != nullptr)
+                wd_->bulkTick(cycles,
+                              macs + static_cast<count_t>(mt * nt));
         }
     }
     return res;

@@ -423,6 +423,7 @@ ServiceDaemon::runTune(const JobRequest &req, const HardwareConfig &cfg,
             topts.threads = 1;
             topts.sparsity = req.sparsity;
             topts.seed = req.seed;
+            topts.wall_deadline = attempt.deadline;
             dse::AutoTuner tuner(attempt.config(cfg), topts, cache_);
             const dse::TuneReport rep = tuner.tuneLayer(req.layer);
             hit_count = rep.cache_hits;
@@ -467,6 +468,7 @@ ServiceDaemon::runExplore(const JobRequest &req, const HardwareConfig &cfg,
             eopts.threads = 1;
             eopts.sparsity = req.sparsity;
             eopts.seed = req.seed;
+            eopts.wall_deadline = attempt.deadline;
             explore::Explorer explorer(attempt.config(cfg), eopts, cache_);
             const explore::ExploreReport rep =
                 explorer.exploreLayer(req.layer);

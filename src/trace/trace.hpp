@@ -19,15 +19,16 @@
  * Perfetto or chrome://tracing) written through the JsonValue emitter;
  * timestamps are cycles, not microseconds.
  *
- * Closed-form regions: the dense controller's systolic inner run is
- * bracketed by bulkBegin()/bulkEnd(), which records the region as one
- * span on the closed-form track carrying its counter deltas as args
- * and interpolates the sample boundaries inside it. The event engine's
+ * Closed-form regions: the dense controller's systolic inner run
+ * (SystolicArray::run, which accounts every tile's wavefront by
+ * formula) is bracketed by bulkBegin()/bulkEnd(), which records the
+ * region as one span on the closed-form track carrying its counter
+ * deltas as args and interpolates the sample boundaries inside it. The event engine's
  * steady-state skips use steadyBegin()/steadyEnd(), which interpolate
  * the same way but record no span. Steady state means every counter
  * advances by a constant per-cycle delta, so the integer interpolation
  * is exact: both engines record the identical event stream, closed-
- * form track included (both run the systolic region in closed form).
+ * form track included (both run the same closed-form systolic tiles).
  *
  * The trace clock advances inside the delivery/drain streaming loops
  * and the controllers' closed-form stalls. Controllers overlap

@@ -4,7 +4,7 @@
  * arbiter's fairness/determinism/self-exclusion properties, the model
  * partitioners, and — the core invariant — a cores = 1 MulticoreRunner
  * reproduces the legacy ModelRunner bit-identically (cycles, records,
- * outputs, trace bytes, zero stalls) on every shipped configs/*.cfg,
+ * outputs, trace bytes, zero stalls) on every shipped .cfg in configs/,
  * while a cores = 2 composition stays functionally exact against the
  * native reference, checkpoints/restores bit-identically mid-run, and
  * reports per-core DRAM stall counters in strict JSON.
@@ -268,10 +268,12 @@ TEST(Partition, ShardabilityFollowsTheLayerKind)
     const DnnModel model =
         loadModelFromFile("models/resnet_block.model");
     for (const DnnLayer &l : model.layers) {
-        if (l.op == OpType::Conv2d || l.op == OpType::Linear)
+        if (l.op == OpType::Conv2d || l.op == OpType::Linear) {
             EXPECT_TRUE(kSplitShardable(l)) << l.name;
-        if (l.op == OpType::ReLU || l.op == OpType::AddResidual)
+        }
+        if (l.op == OpType::ReLU || l.op == OpType::AddResidual) {
             EXPECT_FALSE(kSplitShardable(l)) << l.name;
+        }
     }
 }
 
@@ -332,8 +334,9 @@ TEST(MulticoreRunner, OneCoreIsBitIdenticalToModelRunnerOnEveryConfig)
             EXPECT_EQ(recs[i].sim.cycles, ref_recs[i].sim.cycles);
         }
 
-        if (cfg.trace)
+        if (cfg.trace) {
             EXPECT_EQ(slurp(trace.path), ref_trace);
+        }
     }
 }
 

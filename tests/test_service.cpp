@@ -433,6 +433,31 @@ TEST(ServiceEnvelope, CycleBudgetTimesOutTerminally)
     EXPECT_EQ(daemon.counters().retries, 0u);
 }
 
+TEST(ServiceEnvelope, SystolicCycleBudgetTimesOutTerminally)
+{
+    std::ostringstream out;
+    ServiceOptions opts;
+    opts.base = HardwareConfig::maeriLike(64, 16);
+    opts.base.service_workers = 1;
+    ServiceDaemon daemon(opts, out);
+
+    // On the 16x16 TPU this conv is four tiles of 62 cycles each; the
+    // budget must hold inside the systolic array as on MAERI.
+    EXPECT_TRUE(daemon.handleLine(
+        R"({"type":"run","id":"tpu","config":"configs/tpu_256.cfg",)"
+        R"("budget_cycles":32,"retries":3,"layer":)" +
+        convJson() + "}"));
+    daemon.finish();
+
+    const auto responses = parseLines(out.str());
+    const JsonValue *r = findResult(responses, "tpu");
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->find("status")->asString(), "timeout");
+    EXPECT_EQ(r->find("service")->find("attempts")->asInt64(), 1);
+    EXPECT_EQ(daemon.counters().timeout, 1u);
+    EXPECT_EQ(daemon.counters().retries, 0u);
+}
+
 TEST(ServiceEnvelope, DeadlockRetriesThenDegradedAttemptSucceeds)
 {
     const FaultyWorld &fw = faultyWorld();
@@ -826,6 +851,42 @@ TEST(ServiceDaemon, ExploreBackoffPastTheWallBudgetTimesOut)
     EXPECT_EQ(daemon.counters().retries, 0u);
 }
 
+TEST(ServiceDaemon, SearchJobsStopAtTheWallBudgetInsideACandidate)
+{
+    // Every candidate of this conv runs tens of thousands of cycles, so
+    // a 1 ms budget is crossed inside the first candidate simulation.
+    const std::string layer =
+        R"({"kind":"conv","name":"wall","R":3,"S":3,"C":32,"K":32,)"
+        R"("X":14,"Y":14,"pad":1})";
+    const std::string jobs[] = {
+        R"({"type":"tune","id":"search","top_k":8,"budget_wall_ms":1,)"
+        R"("layer":)" + layer + "}",
+        R"({"type":"explore","id":"search","top_k":2,)"
+        R"("axes":"dn_bandwidth=8:16","budget_wall_ms":1,"layer":)" +
+            layer + "}",
+    };
+    for (const std::string &job : jobs) {
+        SCOPED_TRACE(job);
+        std::ostringstream out;
+        ServiceOptions opts;
+        opts.base = HardwareConfig::maeriLike(64, 16);
+        opts.base.service_workers = 1;
+        ServiceDaemon daemon(opts, out);
+
+        EXPECT_TRUE(daemon.handleLine(job));
+        daemon.finish();
+
+        const auto responses = parseLines(out.str());
+        const JsonValue *r = findResult(responses, "search");
+        ASSERT_NE(r, nullptr);
+        EXPECT_EQ(r->find("status")->asString(), "timeout");
+        EXPECT_EQ(r->find("service")->find("attempts")->asInt64(), 1);
+        // The interrupted candidates never reach the result cache.
+        EXPECT_EQ(daemon.cache().size(), 0u);
+        EXPECT_EQ(daemon.counters().timeout, 1u);
+    }
+}
+
 // --- shutdown vs. submit ordering -------------------------------------
 
 TEST(ServiceDaemon, ShutdownBeatsConcurrentSubmitDeterministically)
@@ -1027,9 +1088,11 @@ TEST(ServiceDaemon, RunModelQuarantinesTheSickCoreAndMatchesHealthyCrc)
 
     // The lifetime counters saw the bench.
     EXPECT_GE(daemon.counters().quarantines, 1u);
-    for (const JsonValue &r : responses)
-        if (r.find("type") && r.find("type")->asString() == "stats")
+    for (const JsonValue &r : responses) {
+        if (r.find("type") && r.find("type")->asString() == "stats") {
             ASSERT_NE(r.find("quarantines"), nullptr);
+        }
+    }
 }
 
 } // namespace

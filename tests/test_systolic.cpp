@@ -1,15 +1,22 @@
 /**
  * @file
- * Unit tests for the structural output-stationary systolic array:
- * functional exactness against the reference GEMM and the cycle model
- * the Table V TPU validation relies on.
+ * Unit tests for the output-stationary systolic array: functional
+ * exactness against the reference GEMM, the cycle model the Table V TPU
+ * validation relies on, and bit-identical parity of the closed-form tile
+ * with the PE-by-PE oracle in systolic_oracle.hpp.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
+#include "checkpoint/archive.hpp"
 #include "common/logging.hpp"
+#include "common/watchdog.hpp"
 #include "mem/global_buffer.hpp"
 #include "network/systolic.hpp"
+#include "systolic_oracle.hpp"
 #include "tensor/reference.hpp"
 
 namespace stonne {
@@ -24,7 +31,12 @@ struct Rig {
     SystolicArray array;
 
     Rig(index_t rows, index_t cols)
-        : gb(108, rows * cols, rows * cols, 1, stats),
+        : Rig(rows, cols, rows * cols, rows * cols)
+    {
+    }
+
+    Rig(index_t rows, index_t cols, index_t gb_reads, index_t gb_writes)
+        : gb(108, gb_reads, gb_writes, 1, stats),
           dn(rows * cols, rows * cols, stats),
           mn(rows * cols, MnType::Linear, stats),
           rn(rows * cols, stats),
@@ -103,9 +115,125 @@ TEST(Systolic, ActivityCountersMatchWork)
     Tensor c({4, 4});
     rig.array.run(a, b, c);
     EXPECT_EQ(rig.mn.multOps(), 4u * 8u * 4u);
+    EXPECT_EQ(rig.stats.value("rn.adder_ops"), 4u * 8u * 4u);
     // Every operand element is injected once per tile edge.
     EXPECT_EQ(rig.stats.value("dn.packages"), 2u * 4u * 8u);
+    EXPECT_EQ(rig.stats.value("dn.link_hops"), 2u * 4u * 8u);
+    EXPECT_EQ(rig.stats.value("gb.reads"), 2u * 4u * 8u);
     EXPECT_EQ(rig.stats.value("gb.writes"), 16u);
+    // Each PE off the west (north) edge takes K operands from its
+    // neighbour: K * (mt * (nt - 1) + (mt - 1) * nt) hops.
+    EXPECT_EQ(rig.mn.forwardOps(), 8u * (4u * 3u + 3u * 4u));
+    // Some PE fires in every wavefront cycle: K + mt + nt - 2.
+    EXPECT_EQ(rig.stats.value("mn.busy_cycles"), 8u + 4u + 4u - 2u);
+}
+
+/** One parity shape: the array, its GB bandwidths and the GEMM dims. */
+struct ParityCase {
+    index_t rows, cols, gb_reads, gb_writes;
+    index_t m, k, n;
+};
+
+std::vector<std::uint8_t>
+savedBytes(const Checkpointable &unit)
+{
+    ArchiveWriter w;
+    unit.saveState(w);
+    return w.payload();
+}
+
+/** Operands with signed zeros, denormals and wide magnitudes, so any
+ *  change of summation order or rounding shows in the output bits. */
+Tensor
+parityOperand(index_t rows, index_t cols, Rng &rng)
+{
+    Tensor t({rows, cols});
+    t.fillUniform(rng);
+    for (index_t e = 0; e < t.size(); ++e) {
+        const std::int64_t pick = rng.integer(0, 7);
+        if (pick == 0)
+            t.at(e) = -0.0f;
+        else if (pick == 1)
+            t.at(e) *= 8 * std::numeric_limits<float>::denorm_min();
+        else if (pick == 2)
+            t.at(e) *= 1e6f;
+    }
+    return t;
+}
+
+/** Run the closed-form array and the oracle on twin rigs; compare all. */
+void
+expectParity(const ParityCase &pc, Rng &rng)
+{
+    SCOPED_TRACE(testing::Message()
+                 << pc.rows << "x" << pc.cols << " array, gb " << pc.gb_reads
+                 << "/" << pc.gb_writes << ", M=" << pc.m << " K=" << pc.k
+                 << " N=" << pc.n);
+    Rig fast(pc.rows, pc.cols, pc.gb_reads, pc.gb_writes);
+    Rig slow(pc.rows, pc.cols, pc.gb_reads, pc.gb_writes);
+    Watchdog fast_wd(1000), slow_wd(1000);
+    SystolicArray fast_array(pc.rows, pc.cols, fast.dn, fast.mn, fast.rn,
+                             fast.gb, &fast_wd);
+
+    // Two GEMMs back to back: the second starts from the per-cycle
+    // budget state the first one left behind.
+    for (int rep = 0; rep < 2; ++rep) {
+        const Tensor a = parityOperand(pc.m, pc.k, rng);
+        const Tensor b = parityOperand(pc.k, pc.n, rng);
+        Tensor c_fast({pc.m, pc.n}), c_slow({pc.m, pc.n});
+        const SystolicResult rf = fast_array.run(a, b, c_fast);
+        const SystolicResult rs =
+            steppedSystolicGemm(pc.rows, pc.cols, slow.dn, slow.mn, slow.rn,
+                                slow.gb, a, b, c_slow, &slow_wd);
+
+        EXPECT_EQ(rf.cycles, rs.cycles);
+        EXPECT_EQ(rf.tiles, rs.tiles);
+        EXPECT_EQ(rf.macs, rs.macs);
+        ASSERT_EQ(fast.stats.counters().size(), slow.stats.counters().size());
+        for (std::size_t i = 0; i < fast.stats.counters().size(); ++i) {
+            const StatCounter &f = fast.stats.counters()[i];
+            const StatCounter &s = slow.stats.counters()[i];
+            EXPECT_EQ(f.name, s.name);
+            EXPECT_EQ(f.value, s.value) << f.name;
+        }
+        EXPECT_EQ(savedBytes(fast.gb), savedBytes(slow.gb));
+        EXPECT_EQ(savedBytes(fast.dn), savedBytes(slow.dn));
+        EXPECT_EQ(savedBytes(fast_wd), savedBytes(slow_wd));
+        EXPECT_EQ(std::memcmp(c_fast.data(), c_slow.data(),
+                              static_cast<std::size_t>(c_fast.size()) *
+                                  sizeof(float)),
+                  0);
+    }
+}
+
+TEST(Systolic, ClosedFormTileMatchesSteppedOracle)
+{
+    Rng rng(6);
+    const ParityCase fixed[] = {
+        {4, 4, 16, 16, 1, 1, 1},       // k = mt = nt = 1: one cycle
+        {4, 4, 16, 16, 4, 1, 4},       // k = 1, full tile
+        {4, 4, 8, 3, 10, 7, 9},        // partial edge tiles, slow drain
+        {8, 8, 16, 16, 3, 5, 2},       // one partial tile
+        {2, 8, 10, 16, 5, 9, 19},      // non-square, edge at full bandwidth
+        {8, 2, 10, 1, 19, 3, 5},       // non-square, one write a cycle
+        {3, 5, 15, 15, 7, 11, 13},     // non-power-of-two array
+        {16, 16, 32, 256, 33, 40, 17}, // the TPU-256 array shape
+        {4, 4, 16, 16, 6, 2, 6},       // k < mt, nt: edge peak below rows
+    };
+    for (const ParityCase &pc : fixed)
+        expectParity(pc, rng);
+
+    for (int trial = 0; trial < 24; ++trial) {
+        ParityCase pc;
+        pc.rows = rng.integer(2, 8);
+        pc.cols = rng.integer(2, 8);
+        pc.gb_reads = rng.integer(pc.rows + pc.cols, pc.rows * pc.cols + 4);
+        pc.gb_writes = rng.integer(1, pc.rows * pc.cols);
+        pc.m = rng.integer(1, 3 * pc.rows);
+        pc.k = rng.integer(1, 24);
+        pc.n = rng.integer(1, 3 * pc.cols);
+        expectParity(pc, rng);
+    }
 }
 
 TEST(Systolic, MismatchedShapesAreFatal)
