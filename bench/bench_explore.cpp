@@ -39,7 +39,6 @@ options()
     explore::ExploreOptions o;
     o.top_k = 4;
     o.axes = "ms_size,dn_bandwidth,rn_bandwidth,accumulator_size,fabric";
-    o.cache_file = kCacheFile;
     o.seed = 42;
     return o;
 }
@@ -74,14 +73,22 @@ main()
     c.padding = 1;
     const LayerSpec layer = LayerSpec::convolution("bench_sec", c);
 
+    // Each leg owns a cache on the same file, as two CLI runs would:
+    // the warm leg loads what the cold leg saved.
     const auto t_cold = std::chrono::steady_clock::now();
-    explore::Explorer cold(base, options());
-    const explore::ExploreReport cold_rep = cold.exploreLayer(layer);
+    dse::ResultCache cold_cache(kCacheFile);
+    const explore::ExploreReport cold_rep =
+        explore::exploreLayer(base, layer, options(), cold_cache);
+    if (cold_rep.simulations_run > 0)
+        cold_cache.save();
     const double cold_s = secondsSince(t_cold);
 
     const auto t_warm = std::chrono::steady_clock::now();
-    explore::Explorer warm(base, options());
-    const explore::ExploreReport warm_rep = warm.exploreLayer(layer);
+    dse::ResultCache warm_cache(kCacheFile);
+    const explore::ExploreReport warm_rep =
+        explore::exploreLayer(base, layer, options(), warm_cache);
+    if (warm_rep.simulations_run > 0)
+        warm_cache.save();
     const double warm_s = secondsSince(t_warm);
 
     const double pruned =

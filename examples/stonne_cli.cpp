@@ -303,7 +303,6 @@ handle(CliState &st, const std::string &line)
                 const HardwareConfig &cfg = st.stonne->config();
                 dse::TuneOptions opts;
                 opts.top_k = cfg.dse_top_k;
-                opts.cache_file = cfg.dse_cache_file;
                 opts.sparsity = st.sparsity;
                 opts.seed = st.seed;
                 index_t k = 0;
@@ -311,8 +310,11 @@ handle(CliState &st, const std::string &line)
                     fatalIf(k <= 0, "tune top_k must be positive");
                     opts.top_k = k;
                 }
-                dse::AutoTuner tuner(cfg, opts);
-                const dse::TuneReport rep = tuner.tuneLayer(st.layer);
+                dse::ResultCache cache(cfg.dse_cache_file);
+                const dse::TuneReport rep =
+                    dse::tuneLayer(cfg, st.layer, opts, cache);
+                if (rep.simulations_run > 0)
+                    cache.save();
                 std::printf("%-22s %12s %12s  %s\n", "tile",
                             "analytical", "simulated", "source");
                 for (const dse::EvaluatedTile &et : rep.ranked)
@@ -359,7 +361,6 @@ handle(CliState &st, const std::string &line)
                 explore::ExploreOptions opts;
                 opts.top_k = cfg.explore_top_k;
                 opts.axes = cfg.explore_axes;
-                opts.cache_file = cfg.dse_cache_file;
                 opts.sparsity = st.sparsity;
                 opts.seed = st.seed;
                 index_t k = 0;
@@ -367,9 +368,11 @@ handle(CliState &st, const std::string &line)
                     fatalIf(k <= 0, "explore top_k must be positive");
                     opts.top_k = k;
                 }
-                explore::Explorer explorer(cfg, opts);
+                dse::ResultCache cache(cfg.dse_cache_file);
                 const explore::ExploreReport rep =
-                    explorer.exploreLayer(st.layer);
+                    explore::exploreLayer(cfg, st.layer, opts, cache);
+                if (rep.simulations_run > 0)
+                    cache.save();
                 std::printf("%-44s %12s %12s %14s  %s\n", "variant",
                             "cycles", "energy_uj", "area_um2", "source");
                 for (const std::size_t i : rep.frontier) {

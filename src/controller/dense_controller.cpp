@@ -32,22 +32,9 @@ DenseController::DenseController(const HardwareConfig &cfg,
                                  Watchdog *watchdog, Tracer *trace)
     : cfg_(cfg), engine_(engine), dn_(dn), mn_(mn), rn_(rn), gb_(gb),
       dram_(dram), wd_(watchdog), trace_(trace),
-      mapper_(cfg.ms_size)
+      mapper_(cfg.ms_size), phase_(trace)
 {
     cfg_.validate();
-}
-
-void
-DenseController::setPhase(const char *phase)
-{
-    // Call sites pass string literals, so a pointer compare recognises
-    // the (very common) same-phase call without touching the string.
-    if (phase == phase_tag_)
-        return;
-    phase_tag_ = phase;
-    phase_ = phase;
-    if (trace_ != nullptr)
-        trace_->setPhase(phase_);
 }
 
 void
@@ -152,7 +139,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
     // Stage the input activations: traffic is accounted, but the
     // cycles are hidden by the double-buffered prefetch (the previous
     // layer's execution overlaps the first tile's transfer).
-    setPhase("dram staging");
+    phase_.set("dram staging");
     (void)dram_.transferCycles(
         std::min(input.size(), gb_.capacityElements() / 2) * bpe);
 
@@ -252,7 +239,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
     const cycle_t fill = 1 +
         static_cast<cycle_t>(rn_.latency(std::min(vn, window))) + 1;
     res.cycles += fill;
-    setPhase("pipeline fill");
+    phase_.set("pipeline fill");
     traceAdvance(fill);
 
     // Weight reconfiguration is double-buffered: the next fold's
@@ -272,7 +259,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                 tg * tk * window * bpe, prev_block_cycles);
             res.cycles += stall;
             if (stall > 0) {
-                setPhase("dram staging");
+                phase_.set("dram staging");
                 traceAdvance(stall);
             }
 
@@ -301,7 +288,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                     // multicast across the position clusters; only the
                     // part the previous fold's compute could not hide
                     // is exposed.
-                    setPhase("weight fold delivery");
+                    phase_.set("weight fold delivery");
                     const cycle_t w_cycles = engine_.deliver(
                         dn_, gb_, tg * tk * len,
                         tile.t_n * tile.t_x * tile.t_y,
@@ -453,7 +440,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                             }
                         }
 
-                        setPhase("input streaming");
+                        phase_.set("input streaming");
                         cycle_t dl = engine_.deliver(dn_, gb_, fresh, tk,
                                                      PackageKind::Input);
 
@@ -472,7 +459,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                                 // ART+DIST or an overflowing WS fold:
                                 // psums round-trip through the GB and
                                 // re-enter via the MN forwarders.
-                                setPhase("psum spill");
+                                phase_.set("psum spill");
                                 drain = engine_.drain(gb_, active_vns);
                                 mn_.forwardPsums(active_vns);
                                 if (f > 0)
@@ -481,7 +468,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                                         PackageKind::Psum);
                             }
                         } else {
-                            setPhase("output drain");
+                            phase_.set("output drain");
                             drain = engine_.drain(gb_, active_vns);
                         }
                         if (f + 1 == folds)
@@ -498,7 +485,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
                 }
 
                 if (folding && !psum_spill) {
-                    setPhase("output drain");
+                    phase_.set("output drain");
                     block_cycles += engine_.drain(gb_, chunk_outputs);
                 }
             }
@@ -516,7 +503,7 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
     // the compiler overlap their serial float-add latencies — so the
     // values stay bit-identical to the scalar convOutputValue() used on
     // the edge columns.
-    setPhase("functional reduce");
+    phase_.set("functional reduce");
     {
         const index_t st = shape.stride;
         const index_t pad = shape.padding;
@@ -609,14 +596,14 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
           (static_cast<double>(cfg_.ms_size) *
            static_cast<double>(res.cycles))
         : 0.0;
-    setPhase("idle");
+    phase_.set("idle");
     return res;
 }
 
 ControllerResult
 DenseController::runGemmSystolic(const Tensor &a, const Tensor &b, Tensor &c)
 {
-    setPhase("systolic gemm");
+    phase_.set("systolic gemm");
     auto *popn = dynamic_cast<PointToPointNetwork *>(&dn_);
     auto *lrn = dynamic_cast<LinearReductionNetwork *>(&rn_);
     fatalIf(!popn || !lrn,
@@ -661,7 +648,7 @@ DenseController::runGemmSystolic(const Tensor &a, const Tensor &b, Tensor &c)
           (static_cast<double>(cfg_.ms_size) *
            static_cast<double>(res.cycles))
         : 0.0;
-    setPhase("idle");
+    phase_.set("idle");
     return res;
 }
 
@@ -819,7 +806,7 @@ DenseController::runMaxPool(const LayerSpec &layer, const Tensor &input,
     const count_t mem0 = gb_.totalReads() + gb_.totalWrites();
     const count_t mult0 = mn_.multOps();
 
-    setPhase("max pool streaming");
+    phase_.set("max pool streaming");
     const index_t positions = c.N * xo * yo;
     std::vector<std::int64_t> fetch, prev_fetch;
     const auto step_capacity = static_cast<std::size_t>(tk * ty * vn);
@@ -877,16 +864,16 @@ DenseController::runMaxPool(const LayerSpec &layer, const Tensor &input,
                 prev_fetch.swap(fetch);
                 have_prev = true;
             }
-            setPhase("output drain");
+            phase_.set("output drain");
             const cycle_t drain = engine_.drain(gb_, tkc * typ);
-            setPhase("max pool streaming");
+            phase_.set("max pool streaming");
             res.cycles += std::max<cycle_t>({1, dl_total, drain});
         }
     }
     const cycle_t fill = 1 +
         static_cast<cycle_t>(rn_.latency(std::min(vn, window))) + 1;
     res.cycles += fill;
-    setPhase("pipeline fill");
+    phase_.set("pipeline fill");
     traceAdvance(fill);
 
     output = ref::maxPool2d(input, w, st);
@@ -897,7 +884,7 @@ DenseController::runMaxPool(const LayerSpec &layer, const Tensor &input,
           (static_cast<double>(cfg_.ms_size) *
            static_cast<double>(res.cycles))
         : 0.0;
-    setPhase("idle");
+    phase_.set("idle");
     return res;
 }
 

@@ -29,6 +29,7 @@
 
 #include "common/config.hpp"
 #include "controller/mapper.hpp"
+#include "controller/phase.hpp"
 #include "controller/result.hpp"
 #include "mem/dram.hpp"
 #include "mem/global_buffer.hpp"
@@ -95,7 +96,7 @@ class DenseController : public Checkpointable
     const Mapper &mapper() const { return mapper_; }
 
     /** Current execution phase, exposed in watchdog deadlock reports. */
-    const std::string &phase() const { return phase_; }
+    const char *phase() const { return phase_.name(); }
 
     /**
      * Serialize the controller phase. Delivery cursors are
@@ -103,16 +104,9 @@ class DenseController : public Checkpointable
      * the controller is quiescent), so the phase is the only state
      * that crosses a snapshot.
      */
-    void saveState(ArchiveWriter &ar) const override
-    {
-        ar.putString(phase_);
-    }
+    void saveState(ArchiveWriter &ar) const override { phase_.save(ar); }
 
-    void loadState(ArchiveReader &ar) override
-    {
-        phase_ = ar.getString();
-        phase_tag_ = nullptr;
-    }
+    void loadState(ArchiveReader &ar) override { phase_.load(ar); }
 
   protected:
     /** Flexible-pipeline convolution (tree / Benes DN). */
@@ -137,9 +131,6 @@ class DenseController : public Checkpointable
                                  const Tensor &bias, index_t n, index_t ko,
                                  index_t ox, index_t oy);
 
-    /** Change phase: watchdog reports see it, the tracer spans it. */
-    void setPhase(const char *phase);
-
     /** Advance the trace clock over a closed-form region (if tracing). */
     void traceAdvance(cycle_t cycles);
 
@@ -161,9 +152,7 @@ class DenseController : public Checkpointable
     Watchdog *wd_;
     Tracer *trace_;
     Mapper mapper_;
-    std::string phase_ = "idle";
-    //! Literal last passed to setPhase(), for a cheap same-phase check.
-    const char *phase_tag_ = nullptr;
+    PhaseTracker phase_;
 };
 
 } // namespace stonne

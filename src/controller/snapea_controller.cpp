@@ -65,20 +65,12 @@ SnapeaController::SnapeaController(const HardwareConfig &cfg,
                                    Watchdog *watchdog, Tracer *trace)
     : cfg_(cfg), engine_(engine), dn_(dn), mn_(mn), rn_(rn), gb_(gb),
       dram_(dram), wd_(watchdog), trace_(trace),
-      mapper_(cfg.ms_size)
+      mapper_(cfg.ms_size), phase_(trace)
 {
     cfg_.validate();
     fatalIf(cfg_.controller_type != ControllerType::Snapea,
             "SNAPEA controller instantiated for a ",
             controllerTypeName(cfg_.controller_type), " configuration");
-}
-
-void
-SnapeaController::setPhase(const char *phase)
-{
-    phase_ = phase;
-    if (trace_ != nullptr)
-        trace_->setPhase(phase_);
 }
 
 ControllerResult
@@ -199,7 +191,7 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                     static_cast<cycle_t>(
                         rn_.latency(std::min(vn, window))) + 1;
                 res.cycles += fill;
-                setPhase("pipeline fill");
+                phase_.set("pipeline fill");
                 if (trace_ != nullptr)
                     trace_->advance(fill);
 
@@ -269,11 +261,11 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
                     fetch.erase(std::unique(fetch.begin(), fetch.end()),
                                 fetch.end());
 
-                    setPhase("sorted weight streaming");
+                    phase_.set("sorted weight streaming");
                     cycle_t dl = engine_.deliver(
                         dn_, gb_, stream_elems, tn * tx * ty,
                         PackageKind::Weight);
-                    setPhase("activation gather");
+                    phase_.set("activation gather");
                     dl += engine_.deliver(
                         dn_, gb_, static_cast<index_t>(fetch.size()), 1,
                         PackageKind::Input);
@@ -334,7 +326,7 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
 
                 // Drain: every mapped window emits its psum (cut windows
                 // emit the non-positive value the ReLU will zero).
-                setPhase("output drain");
+                phase_.set("output drain");
                 res.cycles += engine_.drain(
                     gb_, static_cast<index_t>(vns.size()));
                 for (const VnState &v : vns)
@@ -349,7 +341,7 @@ SnapeaController::runConvolution(const LayerSpec &layer, const Tensor &input,
           (static_cast<double>(cfg_.ms_size) *
            static_cast<double>(res.cycles))
         : 0.0;
-    setPhase("idle");
+    phase_.set("idle");
     return res;
 }
 

@@ -26,6 +26,7 @@
 
 #include "common/config.hpp"
 #include "controller/mapper.hpp"
+#include "controller/phase.hpp"
 #include "controller/result.hpp"
 #include "mem/dram.hpp"
 #include "mem/global_buffer.hpp"
@@ -99,20 +100,14 @@ class SnapeaController : public Checkpointable
                                     bool early_exit, Tensor &output);
 
     /** Current execution phase, exposed in watchdog deadlock reports. */
-    const std::string &phase() const { return phase_; }
+    const char *phase() const { return phase_.name(); }
 
     /** Serialize the controller phase (see DenseController::saveState). */
-    void saveState(ArchiveWriter &ar) const override
-    {
-        ar.putString(phase_);
-    }
+    void saveState(ArchiveWriter &ar) const override { phase_.save(ar); }
 
-    void loadState(ArchiveReader &ar) override { phase_ = ar.getString(); }
+    void loadState(ArchiveReader &ar) override { phase_.load(ar); }
 
   private:
-    /** Change phase: watchdog reports see it, the tracer spans it. */
-    void setPhase(const char *phase);
-
     HardwareConfig cfg_;
     EventEngine &engine_;
     DistributionNetwork &dn_;
@@ -123,7 +118,7 @@ class SnapeaController : public Checkpointable
     Watchdog *wd_;
     Tracer *trace_;
     Mapper mapper_;
-    std::string phase_ = "idle";
+    PhaseTracker phase_;
 };
 
 } // namespace stonne

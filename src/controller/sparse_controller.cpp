@@ -16,7 +16,7 @@ SparseController::SparseController(const HardwareConfig &cfg,
                                    GlobalBuffer &gb, Dram &dram,
                                    Watchdog *watchdog, Tracer *trace)
     : cfg_(cfg), engine_(engine), dn_(dn), mn_(mn), rn_(rn), gb_(gb),
-      dram_(dram), wd_(watchdog), trace_(trace)
+      dram_(dram), wd_(watchdog), trace_(trace), phase_(trace)
 {
     cfg_.validate();
     fatalIf(cfg_.controller_type != ControllerType::Sparse,
@@ -24,14 +24,6 @@ SparseController::SparseController(const HardwareConfig &cfg,
             controllerTypeName(cfg_.controller_type), " configuration");
     fatalIf(!rn.supportsVariableClusters(),
             "the sparse controller needs a cluster-capable RN");
-}
-
-void
-SparseController::setPhase(const char *phase)
-{
-    phase_ = phase;
-    if (trace_ != nullptr)
-        trace_->setPhase(phase_);
 }
 
 ControllerResult
@@ -67,7 +59,7 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
     const cycle_t fill = static_cast<cycle_t>(dn_levels) +
         static_cast<cycle_t>(rn_.latency(cfg_.ms_size)) + 1;
     res.cycles += fill;
-    setPhase("pipeline fill");
+    phase_.set("pipeline fill");
     if (trace_ != nullptr)
         trace_->advance(fill);
 
@@ -75,7 +67,7 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
     union_k.reserve(static_cast<std::size_t>(cfg_.ms_size));
     for (const SparseRound &round : rounds_) {
         // Stationary non-zeros enter through the Benes (unicast).
-        setPhase("stationary nnz load");
+        phase_.set("stationary nnz load");
         res.cycles += engine_.deliver(dn_, gb_, round.nnz, 1,
                                       PackageKind::Weight);
 
@@ -123,10 +115,10 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
                     static_cast<count_t>(round.nnz - fired);
             }
 
-            setPhase("streaming operand multicast");
+            phase_.set("streaming operand multicast");
             const cycle_t dl = engine_.deliver(dn_, gb_, needed, 1,
                                                PackageKind::Input);
-            setPhase("output drain");
+            phase_.set("output drain");
             const cycle_t drain = engine_.drain(gb_, completions);
 
             mn_.fireMultipliers(std::min(fired, cfg_.ms_size));
@@ -143,7 +135,7 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
     // Functional results in canonical CSR order (bit-exact against the
     // reference SpMM); fully pruned rows emit zeros directly. Raw
     // pointers keep the at() bounds checks out of the innermost MAC.
-    setPhase("functional reduce");
+    phase_.set("functional reduce");
     const float *bd = b.data();
     float *cd = c.data();
     for (index_t r = 0; r < a.rows; ++r) {
@@ -166,7 +158,7 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
           (static_cast<double>(cfg_.ms_size) *
            static_cast<double>(res.cycles))
         : 0.0;
-    setPhase("idle");
+    phase_.set("idle");
     return res;
 }
 

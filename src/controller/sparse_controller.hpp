@@ -17,6 +17,7 @@
 #include <string>
 
 #include "common/config.hpp"
+#include "controller/phase.hpp"
 #include "controller/result.hpp"
 #include "controller/scheduler.hpp"
 #include "mem/dram.hpp"
@@ -83,24 +84,18 @@ class SparseController : public Checkpointable
     const std::vector<SparseRound> &lastRounds() const { return rounds_; }
 
     /** Current execution phase, exposed in watchdog deadlock reports. */
-    const std::string &phase() const { return phase_; }
+    const char *phase() const { return phase_.name(); }
 
     /**
      * Serialize the controller phase. The per-operation round plan
      * (lastRounds()) is rebuilt by the next runSpMM call and is not
      * part of the snapshot.
      */
-    void saveState(ArchiveWriter &ar) const override
-    {
-        ar.putString(phase_);
-    }
+    void saveState(ArchiveWriter &ar) const override { phase_.save(ar); }
 
-    void loadState(ArchiveReader &ar) override { phase_ = ar.getString(); }
+    void loadState(ArchiveReader &ar) override { phase_.load(ar); }
 
   private:
-    /** Change phase: watchdog reports see it, the tracer spans it. */
-    void setPhase(const char *phase);
-
     HardwareConfig cfg_;
     EventEngine &engine_;
     DistributionNetwork &dn_;
@@ -111,7 +106,7 @@ class SparseController : public Checkpointable
     Watchdog *wd_;
     Tracer *trace_;
     std::vector<SparseRound> rounds_;
-    std::string phase_ = "idle";
+    PhaseTracker phase_;
 };
 
 } // namespace stonne

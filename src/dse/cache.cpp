@@ -8,12 +8,8 @@
 
 namespace stonne::dse {
 
-namespace {
-
-/** Shape-only layer text: the name is cosmetic and must not split
- *  cache entries between identically-shaped layers. */
 std::string
-layerKeyText(const LayerSpec &layer)
+ResultCache::layerKeyText(const LayerSpec &layer)
 {
     std::ostringstream os;
     os << layerKindName(layer.kind);
@@ -32,8 +28,6 @@ layerKeyText(const LayerSpec &layer)
            << layer.pool_stride;
     return os.str();
 }
-
-} // namespace
 
 ResultCache::ResultCache(std::string path)
     : path_(std::move(path))

@@ -76,6 +76,10 @@ class ResultCache
                                const LayerSpec &layer, const Tile &tile,
                                const std::string &policy);
 
+    /** Shape-only layer part of a key: the name is cosmetic and must
+     *  not split entries between identically-shaped layers. */
+    static std::string layerKeyText(const LayerSpec &layer);
+
     /** Look up a key; the stored key text must match byte-for-byte. */
     std::optional<CachedOutcome> lookup(const std::string &key_text) const;
 

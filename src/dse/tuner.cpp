@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <numeric>
-#include <sstream>
 
 #include "analytical/maeri_model.hpp"
 #include "common/logging.hpp"
-#include "common/sweep_pool.hpp"
 #include "controller/mapper.hpp"
-#include "dse/tile_space.hpp"
-#include "engine/workload.hpp"
 
 namespace stonne::dse {
 
@@ -38,15 +33,6 @@ averageRanks(const std::vector<double> &v)
         i = j + 1;
     }
     return ranks;
-}
-
-/** Data-policy part of the cache key: the knobs that shape operands. */
-std::string
-policyText(const TuneOptions &o)
-{
-    std::ostringstream os;
-    os << "seed=" << o.seed << " sparsity=" << o.sparsity;
-    return os.str();
 }
 
 } // namespace
@@ -98,138 +84,75 @@ TuneReport::summary() const
     return s;
 }
 
-AutoTuner::AutoTuner(const HardwareConfig &cfg, TuneOptions opts)
-    : cfg_(cfg.silenced()), opts_(std::move(opts)),
-      own_cache_(std::make_unique<ResultCache>(opts_.cache_file)),
-      cache_(own_cache_.get())
+JsonValue
+TuneReport::json() const
 {
-    fatalIf(opts_.top_k <= 0, "AutoTuner: top_k must be positive, got ",
-            opts_.top_k);
-    cfg_.validate();
-}
-
-AutoTuner::AutoTuner(const HardwareConfig &cfg, TuneOptions opts,
-                     ResultCache &shared_cache)
-    : cfg_(cfg.silenced()), opts_(std::move(opts)), cache_(&shared_cache)
-{
-    fatalIf(opts_.top_k <= 0, "AutoTuner: top_k must be positive, got ",
-            opts_.top_k);
-    cfg_.validate();
+    JsonValue v = JsonValue::makeObject();
+    v.set("chosen_tile", best.canonical());
+    v.set("chosen_cycles", static_cast<std::uint64_t>(best_cycles));
+    v.set("greedy_tile", greedy_tile.canonical());
+    v.set("greedy_cycles", static_cast<std::uint64_t>(greedy_cycles));
+    v.set("space_size", space_size);
+    v.set("evaluated", static_cast<std::uint64_t>(ranked.size()));
+    v.set("cache_hits", cache_hits);
+    v.set("simulations_run", simulations_run);
+    v.set("rank_correlation", rank_correlation);
+    return v;
 }
 
 TuneReport
-AutoTuner::tuneLayer(const LayerSpec &layer)
+tuneLayer(const HardwareConfig &cfg, const LayerSpec &layer,
+          const TuneOptions &opts, ResultCache &cache)
 {
-    const std::vector<Tile> space = TileSpace::enumerate(layer, cfg_);
-    const Tile greedy = Mapper(cfg_.ms_size).generateTile(layer);
+    fatalIf(opts.top_k <= 0, "tuneLayer: top_k must be positive, got ",
+            opts.top_k);
+    cfg.silenced().validate();
 
-    // Analytical pre-filter: rank the whole space with the cheap model,
-    // deterministically (canonical form breaks analytical ties).
-    struct Cand {
-        Tile tile;
-        cycle_t analytical;
-        std::string canonical;
-    };
-    std::vector<Cand> cands;
-    cands.reserve(space.size());
-    for (const Tile &t : space)
-        cands.push_back(
-            {t, analytical::maeriCycles(layer, t, cfg_), t.canonical()});
-    std::sort(cands.begin(), cands.end(), [](const Cand &a, const Cand &b) {
-        if (a.analytical != b.analytical)
-            return a.analytical < b.analytical;
-        return a.canonical < b.canonical;
-    });
+    // Analytical pre-filter: the whole space, ranked deterministically.
+    const std::vector<RankedTile> cands = rankTiles(layer, cfg);
+    const Tile greedy = Mapper(cfg.ms_size).generateTile(layer);
 
     // Evaluation set: the analytical top-K, plus the greedy baseline so
     // the tuned pick can never regress below the status quo.
     const std::size_t k = std::min<std::size_t>(
-        cands.size(), static_cast<std::size_t>(opts_.top_k));
-    std::vector<Cand> eval(cands.begin(),
-                           cands.begin() + static_cast<std::ptrdiff_t>(k));
+        cands.size(), static_cast<std::size_t>(opts.top_k));
+    std::vector<RankedTile> eval(
+        cands.begin(), cands.begin() + static_cast<std::ptrdiff_t>(k));
     const bool greedy_in_top = std::any_of(
         eval.begin(), eval.end(),
-        [&](const Cand &c) { return c.tile == greedy; });
+        [&](const RankedTile &c) { return c.tile == greedy; });
     if (!greedy_in_top)
-        eval.push_back(
-            {greedy, analytical::maeriCycles(layer, greedy, cfg_),
-             greedy.canonical()});
+        eval.push_back({greedy, analytical::maeriCycles(layer, greedy, cfg),
+                        greedy.canonical()});
 
-    // Serve what the cache knows; collect the rest as simulation jobs.
-    const std::string policy = policyText(opts_);
-    struct Slot {
-        EvaluatedTile et;
-        std::string key;
-    };
-    std::vector<Slot> slots(eval.size());
-    std::vector<std::size_t> jobs;
-    for (std::size_t i = 0; i < eval.size(); ++i) {
-        Slot &s = slots[i];
-        s.et.tile = eval[i].tile;
-        s.et.analytical_cycles = eval[i].analytical;
-        s.key = ResultCache::keyText(cfg_, layer, eval[i].tile, policy);
-        if (const auto hit = cache_->lookup(s.key)) {
-            s.et.simulated_cycles = hit->cycles;
-            s.et.energy_uj = hit->energy_uj;
-            s.et.area_um2 = hit->area_um2;
-            s.et.ms_utilization = hit->ms_utilization;
-            s.et.from_cache = true;
-        } else {
-            jobs.push_back(i);
-        }
-    }
-
-    if (!jobs.empty()) {
-        // One shared operand bundle; every worker copies it into its own
-        // accelerator instance, so slots are written race-free.
-        const LayerData data =
-            makeLayerData(layer, opts_.sparsity, opts_.seed);
-        std::vector<std::function<void()>> work;
-        work.reserve(jobs.size());
-        for (const std::size_t i : jobs)
-            work.push_back([this, &layer, &data, &slots, i] {
-                Stonne st(cfg_);
-                st.accelerator().watchdog().setWallDeadline(
-                    opts_.wall_deadline);
-                const SimulationResult r =
-                    runLayer(st, layer, data, slots[i].et.tile);
-                slots[i].et.simulated_cycles = r.cycles;
-                slots[i].et.energy_uj = r.energy.total();
-                slots[i].et.area_um2 = r.area.total();
-                slots[i].et.ms_utilization = r.ms_utilization;
-            });
-        SweepRunner(opts_.threads).run(work);
-        for (const std::size_t i : jobs)
-            cache_->insert(slots[i].key,
-                           CachedOutcome{slots[i].et.simulated_cycles,
-                                         slots[i].et.energy_uj,
-                                         slots[i].et.area_um2,
-                                         slots[i].et.ms_utilization});
-        // A shared cache is persisted by its owner (the service saves
-        // once at shutdown), not after every layer.
-        if (own_cache_)
-            own_cache_->save();
-    }
+    std::vector<SearchPoint> points;
+    points.reserve(eval.size());
+    for (const RankedTile &c : eval)
+        points.push_back({cfg, layer, c.tile});
+    const Evaluation ev = simulateCandidates(points, opts, cache);
 
     TuneReport rep;
-    rep.space_size = space.size();
-    rep.cache_hits = slots.size() - jobs.size();
-    rep.simulations_run = jobs.size();
-    total_simulations_ += jobs.size();
+    rep.space_size = cands.size();
+    rep.cache_hits = ev.cache_hits;
+    rep.simulations_run = ev.simulations_run;
 
     std::vector<double> analytical_v, simulated_v;
-    analytical_v.reserve(slots.size());
-    simulated_v.reserve(slots.size());
-    for (const Slot &s : slots) {
-        analytical_v.push_back(
-            static_cast<double>(s.et.analytical_cycles));
-        simulated_v.push_back(static_cast<double>(s.et.simulated_cycles));
+    rep.ranked.reserve(eval.size());
+    for (std::size_t i = 0; i < eval.size(); ++i) {
+        EvaluatedTile et;
+        et.tile = eval[i].tile;
+        et.analytical_cycles = eval[i].analytical;
+        et.simulated_cycles = ev.points[i].outcome.cycles;
+        et.energy_uj = ev.points[i].outcome.energy_uj;
+        et.area_um2 = ev.points[i].outcome.area_um2;
+        et.ms_utilization = ev.points[i].outcome.ms_utilization;
+        et.from_cache = ev.points[i].from_cache;
+        analytical_v.push_back(static_cast<double>(et.analytical_cycles));
+        simulated_v.push_back(static_cast<double>(et.simulated_cycles));
+        rep.ranked.push_back(et);
     }
     rep.rank_correlation = spearmanCorrelation(analytical_v, simulated_v);
 
-    rep.ranked.reserve(slots.size());
-    for (const Slot &s : slots)
-        rep.ranked.push_back(s.et);
     std::sort(rep.ranked.begin(), rep.ranked.end(),
               [](const EvaluatedTile &a, const EvaluatedTile &b) {
                   if (a.simulated_cycles != b.simulated_cycles)

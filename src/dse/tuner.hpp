@@ -1,7 +1,7 @@
 /**
  * @file
- * AutoTuner: mapping design-space exploration for one accelerator
- * configuration.
+ * Mapping auto-tuning: design-space exploration of the tile space of
+ * one layer on one accelerator configuration.
  *
  * The search combines the two simulation fidelities the codebase
  * already has. The analytical model (src/analytical) costs microseconds
@@ -10,10 +10,10 @@
  * enumerates the legal tile space (TileSpace), ranks every candidate
  * with the analytical model, and simulates only the top K analytical
  * picks (plus the greedy mapper's tile, so the result can never be
- * worse than the status quo) on the SweepRunner thread pool. Simulated
- * outcomes are served from / recorded into a content-addressed
- * ResultCache, so re-tuning a known point costs a hash lookup instead
- * of a simulation.
+ * worse than the status quo) through the shared evaluation core
+ * (search.hpp). Simulated outcomes are served from / recorded into a
+ * content-addressed ResultCache, so re-tuning a known point costs a
+ * hash lookup instead of a simulation.
  *
  * The report keeps both orderings and their Spearman rank correlation —
  * the paper's Figure 1 argument (analytical models misrank mappings
@@ -23,39 +23,22 @@
 #ifndef STONNE_DSE_TUNER_HPP
 #define STONNE_DSE_TUNER_HPP
 
-#include <chrono>
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/json_writer.hpp"
 #include "controller/layer.hpp"
 #include "controller/tile.hpp"
-#include "dse/cache.hpp"
 #include "dse/dse_stats.hpp"
+#include "dse/search.hpp"
 
 namespace stonne::dse {
 
-/** Knobs of one tuning run. */
-struct TuneOptions {
+/** Knobs of one tuning run: the shared search knobs plus the cut. */
+struct TuneOptions : SearchOptions {
     /** Candidates simulated cycle-level per layer (>= 1). */
     index_t top_k = 8;
-
-    /** Worker threads for candidate evaluation (0 = hardware). */
-    unsigned threads = 0;
-
-    /** Result-cache file ("" keeps the cache in memory only). */
-    std::string cache_file;
-
-    /** Operand sparsity/seed for the synthetic evaluation data. */
-    double sparsity = 0.0;
-    std::uint64_t seed = 1;
-
-    /** Host wall-clock deadline armed on every candidate simulation
-     *  (nullopt = unbounded); crossing it throws BudgetExceededError. */
-    std::optional<std::chrono::steady_clock::time_point> wall_deadline;
 };
 
 /** One evaluated candidate in a tuning report. */
@@ -92,43 +75,20 @@ struct TuneReport {
 
     /** The summary block a SimulationResult carries for this run. */
     DseSummary summary() const;
+
+    /** JSON report of a service `tune` job. */
+    JsonValue json() const;
 };
 
-/** Mapping auto-tuner bound to one hardware configuration. */
-class AutoTuner
-{
-  public:
-    explicit AutoTuner(const HardwareConfig &cfg, TuneOptions opts = {});
-
-    /**
-     * Tuner over an externally owned (thread-safe) result cache: the
-     * simulation service shares one ResultCache between all concurrent
-     * jobs this way. `opts.cache_file` is ignored — persistence
-     * belongs to the cache's owner, so this tuner never calls save().
-     */
-    AutoTuner(const HardwareConfig &cfg, TuneOptions opts,
-              ResultCache &shared_cache);
-
-    /**
-     * Tune one dense-controller layer (Convolution / Linear / Gemm):
-     * enumerate, pre-filter analytically, evaluate top-K cycle-level,
-     * persist new outcomes to the cache. Deterministic: same layer,
-     * configuration and options always pick the same tile.
-     */
-    TuneReport tuneLayer(const LayerSpec &layer);
-
-    const ResultCache &cache() const { return *cache_; }
-
-    /** Cycle-level simulations run over this tuner's lifetime. */
-    std::uint64_t totalSimulations() const { return total_simulations_; }
-
-  private:
-    HardwareConfig cfg_; //!< evaluation config (policy knobs silenced)
-    TuneOptions opts_;
-    std::unique_ptr<ResultCache> own_cache_; //!< null when shared
-    ResultCache *cache_;                     //!< owned or shared
-    std::uint64_t total_simulations_ = 0;
-};
+/**
+ * Tune one dense-controller layer (Convolution / Linear / Gemm) on
+ * `cfg`: enumerate, pre-filter analytically, evaluate the top-K plus
+ * the greedy tile cycle-level through `cache` (simulateCandidates).
+ * Deterministic: same layer, configuration and options always pick the
+ * same tile. Never saves the cache; its owner persists it.
+ */
+TuneReport tuneLayer(const HardwareConfig &cfg, const LayerSpec &layer,
+                     const TuneOptions &opts, ResultCache &cache);
 
 /**
  * Spearman rank correlation of two paired samples (average ranks on

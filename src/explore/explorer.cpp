@@ -2,34 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <optional>
 #include <set>
-#include <sstream>
 
-#include "analytical/maeri_model.hpp"
 #include "analytical/scalesim_model.hpp"
 #include "analytical/sigma_model.hpp"
 #include "common/logging.hpp"
-#include "common/sweep_pool.hpp"
 #include "controller/mapper.hpp"
-#include "dse/tile_space.hpp"
 #include "energy/area_model.hpp"
 #include "energy/energy_model.hpp"
-#include "engine/workload.hpp"
 
 namespace stonne::explore {
 
 namespace {
-
-/** Data-policy part of the cache key (same shape as the tuner's, so
- *  explorer and tuner evaluations of the same point share entries). */
-std::string
-policyText(const ExploreOptions &o)
-{
-    std::ostringstream os;
-    os << "seed=" << o.seed << " sparsity=" << o.sparsity;
-    return os.str();
-}
 
 AreaTable
 areaTableFor(const HardwareConfig &cfg)
@@ -50,9 +35,8 @@ energyTableFor(const HardwareConfig &cfg)
 /** One variant with its chosen mapping and analytical objectives. */
 struct Candidate {
     DesignPoint point;
-    LayerSpec layer;     //!< layer as executed (sparse GEMM on sparse)
-    Tile tile;
-    bool has_tile = false;
+    LayerSpec layer;          //!< layer as executed (sparse GEMM on sparse)
+    std::optional<Tile> tile; //!< nullopt on the sparse fabric
     cycle_t analytical_cycles = 0;
     double analytical_energy_uj = 0.0;
     double area_um2 = 0.0;
@@ -115,7 +99,6 @@ rankVariant(Candidate &c, const LayerSpec &layer, double sparsity)
         return;
     }
     c.layer = layer;
-    c.has_tile = true;
     if (cfg.dn_type == DnType::PointToPoint) {
         // Systolic injection: cycles are tile-independent; keep the
         // greedy mapping for execution.
@@ -126,21 +109,10 @@ rankVariant(Candidate &c, const LayerSpec &layer, double sparsity)
                                                            side);
         return;
     }
-    const std::vector<Tile> tiles = dse::TileSpace::enumerate(layer, cfg);
+    const std::vector<dse::RankedTile> tiles = dse::rankTiles(layer, cfg);
     c.tiles_ranked = tiles.size();
-    cycle_t best = 0;
-    std::string best_canonical;
-    for (const Tile &t : tiles) {
-        const cycle_t cyc = analytical::maeriCycles(layer, t, cfg);
-        const std::string canon = t.canonical();
-        if (best_canonical.empty() || cyc < best ||
-            (cyc == best && canon < best_canonical)) {
-            best = cyc;
-            best_canonical = canon;
-            c.tile = t;
-        }
-    }
-    c.analytical_cycles = best;
+    c.tile = tiles.front().tile;
+    c.analytical_cycles = tiles.front().analytical;
 }
 
 } // namespace
@@ -188,41 +160,26 @@ ExploreReport::json() const
     return v;
 }
 
-Explorer::Explorer(const HardwareConfig &base, ExploreOptions opts)
-    : base_(base.silenced()), opts_(std::move(opts)),
-      own_cache_(std::make_unique<dse::ResultCache>(opts_.cache_file)),
-      cache_(own_cache_.get())
-{
-    fatalIf(opts_.top_k <= 0, "Explorer: top_k must be positive, got ",
-            opts_.top_k);
-    base_.validate();
-}
-
-Explorer::Explorer(const HardwareConfig &base, ExploreOptions opts,
-                   dse::ResultCache &shared_cache)
-    : base_(base.silenced()), opts_(std::move(opts)),
-      cache_(&shared_cache)
-{
-    fatalIf(opts_.top_k <= 0, "Explorer: top_k must be positive, got ",
-            opts_.top_k);
-    base_.validate();
-}
-
 ExploreReport
-Explorer::exploreLayer(const LayerSpec &layer)
+exploreLayer(const HardwareConfig &base_cfg, const LayerSpec &layer,
+             const ExploreOptions &opts, dse::ResultCache &cache)
 {
+    fatalIf(opts.top_k <= 0, "exploreLayer: top_k must be positive, got ",
+            opts.top_k);
+    const HardwareConfig base = base_cfg.silenced();
+    base.validate();
     fatalIf(layer.kind != LayerKind::Convolution &&
                 layer.kind != LayerKind::Linear &&
                 layer.kind != LayerKind::Gemm,
-            "Explorer: layer '", layer.name, "' is a ",
+            "exploreLayer: layer '", layer.name, "' is a ",
             layerKindName(layer.kind),
             "; the co-search explores the dense layer kinds "
             "(Convolution, Linear, Gemm)");
-    fatalIf(base_.controller_type != ControllerType::Dense,
-            "Explorer: the base config must use the dense controller");
+    fatalIf(base.controller_type != ControllerType::Dense,
+            "exploreLayer: the base config must use the dense controller");
 
     const std::vector<DesignPoint> space =
-        DesignSpace::enumerate(base_, opts_.axes);
+        DesignSpace::enumerate(base, opts.axes);
 
     // Fidelity 1: analytical objectives for every (variant, best tile).
     std::vector<Candidate> cands(space.size());
@@ -232,14 +189,14 @@ Explorer::exploreLayer(const LayerSpec &layer)
     for (std::size_t i = 0; i < space.size(); ++i) {
         Candidate &c = cands[i];
         c.point = space[i];
-        rankVariant(c, layer, opts_.sparsity);
+        rankVariant(c, layer, opts.sparsity);
         rep.space_size += c.tiles_ranked;
         c.area_um2 = AreaModel(c.point.cfg, areaTableFor(c.point.cfg))
                          .compute()
                          .total();
         const double macs =
             c.point.cfg.controller_type == ControllerType::Sparse
-                ? (1.0 - opts_.sparsity) *
+                ? (1.0 - opts.sparsity) *
                       static_cast<double>(c.layer.macs())
                 : static_cast<double>(c.layer.macs());
         c.analytical_energy_uj = analyticalEnergyUj(
@@ -255,7 +212,7 @@ Explorer::exploreLayer(const LayerSpec &layer)
     for (const std::size_t i : paretoFront(predicted))
         chosen.insert(i);
     const std::size_t k = std::min<std::size_t>(
-        space.size(), static_cast<std::size_t>(opts_.top_k));
+        space.size(), static_cast<std::size_t>(opts.top_k));
     const auto take_top = [&](auto objective) {
         std::vector<std::size_t> order(space.size());
         for (std::size_t i = 0; i < order.size(); ++i)
@@ -273,101 +230,39 @@ Explorer::exploreLayer(const LayerSpec &layer)
     take_top([](const Objectives &o) { return o.area_um2; });
 
     // Fidelity 2: cycle-level simulation, cache first.
-    const std::string policy = policyText(opts_);
-    struct Slot {
-        std::size_t cand;
-        std::string key;
-        ExplorePoint pt;
-    };
-    std::vector<Slot> slots;
-    slots.reserve(chosen.size());
-    for (const std::size_t i : chosen) {
-        Slot s;
-        s.cand = i;
-        s.key = dse::ResultCache::keyText(cands[i].point.cfg, cands[i].layer,
-                                          cands[i].tile, policy);
-        s.pt.label = cands[i].point.label;
-        s.pt.tile = cands[i].tile;
-        s.pt.analytical_cycles = cands[i].analytical_cycles;
-        s.pt.analytical_energy_uj = cands[i].analytical_energy_uj;
-        s.pt.area_um2 = cands[i].area_um2;
-        s.pt.config_text = cands[i].point.cfg.toConfigText();
-        slots.push_back(std::move(s));
-    }
+    const std::vector<std::size_t> picked(chosen.begin(), chosen.end());
+    std::vector<dse::SearchPoint> points;
+    for (const std::size_t i : picked)
+        points.push_back({cands[i].point.cfg, cands[i].layer, cands[i].tile});
+    const dse::Evaluation ev = dse::simulateCandidates(points, opts, cache);
+    rep.cache_hits = ev.cache_hits;
+    rep.simulations_run = ev.simulations_run;
 
-    std::vector<std::size_t> jobs;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        if (const auto hit = cache_->lookup(slots[i].key)) {
-            slots[i].pt.simulated_cycles = hit->cycles;
-            slots[i].pt.energy_uj = hit->energy_uj;
-            slots[i].pt.area_um2 = hit->area_um2;
-            slots[i].pt.ms_utilization = hit->ms_utilization;
-            slots[i].pt.from_cache = true;
-        } else {
-            jobs.push_back(i);
-        }
+    rep.points.resize(picked.size());
+    for (std::size_t s = 0; s < picked.size(); ++s) {
+        const Candidate &c = cands[picked[s]];
+        const dse::CachedOutcome &o = ev.points[s].outcome;
+        ExplorePoint &pt = rep.points[s];
+        pt.label = c.point.label;
+        pt.tile = c.tile.value_or(Tile{});
+        pt.analytical_cycles = c.analytical_cycles;
+        pt.analytical_energy_uj = c.analytical_energy_uj;
+        pt.simulated_cycles = o.cycles;
+        pt.energy_uj = o.energy_uj;
+        pt.area_um2 = o.area_um2;
+        pt.ms_utilization = o.ms_utilization;
+        pt.from_cache = ev.points[s].from_cache;
+        pt.config_text = c.point.cfg.toConfigText();
     }
-
-    if (!jobs.empty()) {
-        // One operand bundle per executed layer form (dense layers
-        // share operands across variants; sparse variants run the
-        // GEMM view with pruned weights). Workers copy into their own
-        // accelerator instances, so slots are written race-free.
-        const LayerData dense_data =
-            makeLayerData(layer, opts_.sparsity, opts_.seed);
-        LayerData sparse_data;
-        for (const std::size_t i : jobs)
-            if (!cands[slots[i].cand].has_tile) {
-                sparse_data = makeLayerData(cands[slots[i].cand].layer,
-                                            opts_.sparsity, opts_.seed);
-                break;
-            }
-        std::vector<std::function<void()>> work;
-        work.reserve(jobs.size());
-        for (const std::size_t i : jobs)
-            work.push_back([this, &cands, &slots, &dense_data,
-                            &sparse_data, i] {
-                const Candidate &c = cands[slots[i].cand];
-                Stonne st(c.point.cfg.silenced());
-                st.accelerator().watchdog().setWallDeadline(
-                    opts_.wall_deadline);
-                const SimulationResult r =
-                    c.has_tile
-                        ? runLayer(st, c.layer, dense_data, c.tile)
-                        : runLayer(st, c.layer, sparse_data);
-                slots[i].pt.simulated_cycles = r.cycles;
-                slots[i].pt.energy_uj = r.energy.total();
-                slots[i].pt.area_um2 = r.area.total();
-                slots[i].pt.ms_utilization = r.ms_utilization;
-            });
-        SweepRunner(opts_.threads).run(work);
-        for (const std::size_t i : jobs)
-            cache_->insert(slots[i].key,
-                           dse::CachedOutcome{slots[i].pt.simulated_cycles,
-                                              slots[i].pt.energy_uj,
-                                              slots[i].pt.area_um2,
-                                              slots[i].pt.ms_utilization});
-        // A shared cache is persisted by its owner (the service saves
-        // once at shutdown), not after every exploration.
-        if (own_cache_)
-            own_cache_->save();
-    }
-
-    rep.cache_hits = slots.size() - jobs.size();
-    rep.simulations_run = jobs.size();
-    total_simulations_ += jobs.size();
 
     // The exact frontier: dominance over the *simulated* objectives.
-    std::vector<Objectives> exact(slots.size());
-    for (std::size_t i = 0; i < slots.size(); ++i)
-        exact[i] = {static_cast<double>(slots[i].pt.simulated_cycles),
-                    slots[i].pt.energy_uj, slots[i].pt.area_um2};
+    std::vector<Objectives> exact(rep.points.size());
+    for (std::size_t i = 0; i < rep.points.size(); ++i)
+        exact[i] = {static_cast<double>(rep.points[i].simulated_cycles),
+                    rep.points[i].energy_uj, rep.points[i].area_um2};
     for (const std::size_t i : paretoFront(exact))
-        slots[i].pt.on_frontier = true;
+        rep.points[i].on_frontier = true;
 
-    rep.points.reserve(slots.size());
-    for (Slot &s : slots)
-        rep.points.push_back(std::move(s.pt));
     std::sort(rep.points.begin(), rep.points.end(),
               [](const ExplorePoint &a, const ExplorePoint &b) {
                   if (a.on_frontier != b.on_frontier)

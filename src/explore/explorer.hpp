@@ -9,7 +9,8 @@
  * non-dominated set united with the top-K per objective). The exact
  * frontier it reports is therefore built purely from cycle-level
  * simulation outcomes; the analytical fidelity only decides *which*
- * points earn a simulation. Every cycle-level evaluation is memoized
+ * points earn a simulation. Every cycle-level evaluation goes through
+ * the evaluation core the tuner uses (dse/search.hpp) and is memoized
  * in the dse::ResultCache (keyed on structural config text), so a
  * repeated exploration answers entirely from the cache.
  */
@@ -17,10 +18,6 @@
 #ifndef STONNE_EXPLORE_EXPLORER_HPP
 #define STONNE_EXPLORE_EXPLORER_HPP
 
-#include <chrono>
-#include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,30 +25,19 @@
 #include "common/json_writer.hpp"
 #include "controller/layer.hpp"
 #include "controller/tile.hpp"
-#include "dse/cache.hpp"
+#include "dse/search.hpp"
 #include "explore/design_space.hpp"
 #include "explore/pareto.hpp"
 
 namespace stonne::explore {
 
-/** Search policy of one Explorer instance. */
-struct ExploreOptions {
+/** Knobs of one exploration: the shared search knobs plus its own. */
+struct ExploreOptions : dse::SearchOptions {
     /** Simulated candidates per objective beyond the predicted front. */
     index_t top_k = 4;
-    /** Worker threads of the simulation sweep (0 = hardware). */
-    std::size_t threads = 0;
-    /** Cache file of the owned ResultCache ("" = in-memory). */
-    std::string cache_file;
     /** Axes spec of the design space (axes.hpp grammar). */
     std::string axes =
         "ms_size,dn_bandwidth,rn_bandwidth,accumulator_size";
-    /** Weight sparsity of the synthetic operands. */
-    double sparsity = 0.0;
-    /** Operand generation seed. */
-    std::uint64_t seed = 1;
-    /** Host wall-clock deadline armed on every candidate simulation
-     *  (nullopt = unbounded); crossing it throws BudgetExceededError. */
-    std::optional<std::chrono::steady_clock::time_point> wall_deadline;
 };
 
 /** One cycle-simulated candidate of the exploration. */
@@ -86,38 +72,17 @@ struct ExploreReport {
 };
 
 /**
- * Runs the two-fidelity co-search around a base configuration. The
- * base must use the dense controller (its tile space is the mapping
- * dimension); the fabric axis derives sparse variants from it.
+ * Run the two-fidelity co-search around `base` for one dense layer
+ * (Convolution, Linear or Gemm). The base must use the dense
+ * controller (its tile space is the mapping dimension); the fabric
+ * axis derives sparse variants from it. Candidates are evaluated
+ * through `cache` (dse::simulateCandidates), which is never saved
+ * here; its owner persists it.
  */
-class Explorer
-{
-  public:
-    /** Owns a ResultCache loaded from / saved to opts.cache_file. */
-    Explorer(const HardwareConfig &base, ExploreOptions opts);
-
-    /**
-     * Shares a caller-owned cache (the simulation service). The shared
-     * cache is never saved here; its owner persists it.
-     */
-    Explorer(const HardwareConfig &base, ExploreOptions opts,
-             dse::ResultCache &shared_cache);
-
-    /** Explore for one dense layer (Convolution, Linear or Gemm). */
-    ExploreReport exploreLayer(const LayerSpec &layer);
-
-    /** Cycle-level simulations run by this instance so far. */
-    std::uint64_t totalSimulations() const { return total_simulations_; }
-
-    const dse::ResultCache &cache() const { return *cache_; }
-
-  private:
-    HardwareConfig base_;
-    ExploreOptions opts_;
-    std::unique_ptr<dse::ResultCache> own_cache_;
-    dse::ResultCache *cache_;
-    std::uint64_t total_simulations_ = 0;
-};
+ExploreReport exploreLayer(const HardwareConfig &base,
+                           const LayerSpec &layer,
+                           const ExploreOptions &opts,
+                           dse::ResultCache &cache);
 
 } // namespace stonne::explore
 

@@ -54,11 +54,23 @@ sliceColsT(const Tensor &t, index_t c0, index_t w)
 
 } // namespace
 
+dse::TuneReport
+autotuneLayer(AutotuneState &state, const LayerSpec &spec)
+{
+    dse::TuneOptions opts;
+    opts.top_k = state.cfg.dse_top_k;
+    const dse::TuneReport rep =
+        dse::tuneLayer(state.cfg, spec, opts, state.cache);
+    if (rep.simulations_run > 0)
+        state.cache.save();
+    return rep;
+}
+
 LayerExecutor::LayerExecutor(const DnnModel &model, Stonne &stonne,
-                             dse::AutoTuner *tuner,
+                             AutotuneState *autotune,
                              const LayerExecOptions &opts,
                              std::vector<LayerRunRecord> *records)
-    : model_(model), stonne_(stonne), tuner_(tuner), opts_(opts),
+    : model_(model), stonne_(stonne), autotune_(autotune), opts_(opts),
       records_(records)
 {
 }
@@ -103,9 +115,9 @@ LayerExecutor::recordNative(const std::string &name, OpType op)
 std::optional<Tile>
 LayerExecutor::tuneTile(const LayerSpec &spec)
 {
-    if (!tuner_)
+    if (!autotune_)
         return std::nullopt;
-    const dse::TuneReport rep = tuner_->tuneLayer(spec);
+    const dse::TuneReport rep = autotuneLayer(*autotune_, spec);
     pending_dse_ = rep.summary();
     return rep.best;
 }

@@ -40,6 +40,27 @@ struct LayerExecOptions {
 };
 
 /**
+ * Mapping auto-tuning of a model run (`autotune = ON`): the
+ * configuration every search keys on and simulates, and the result
+ * cache the runner owns (loaded from and saved to `dse_cache_file`).
+ */
+struct AutotuneState {
+    explicit AutotuneState(const HardwareConfig &c)
+        : cfg(c), cache(c.dse_cache_file)
+    {
+    }
+
+    HardwareConfig cfg;
+    dse::ResultCache cache;
+};
+
+/**
+ * Tune one operation's tile (`dse_top_k` candidates) through the
+ * state's cache, saving the cache after a search that ran simulations.
+ */
+dse::TuneReport autotuneLayer(AutotuneState &state, const LayerSpec &spec);
+
+/**
  * Executes individual layers of one model on one Stonne instance.
  *
  * Stateless across layers except for the pending auto-tuner summary
@@ -53,12 +74,12 @@ class LayerExecutor
      * @param model the network (must outlive the executor; consulted
      *              for the ReLU-follows-conv SNAPEA peek)
      * @param stonne the accelerator instance layers are offloaded to
-     * @param tuner optional mapping auto-tuner (nullptr = fixed tiles)
+     * @param autotune optional auto-tuning state (nullptr = fixed tiles)
      * @param opts lowering knobs
      * @param records per-operation record sink (nullptr = don't record)
      */
     LayerExecutor(const DnnModel &model, Stonne &stonne,
-                  dse::AutoTuner *tuner, const LayerExecOptions &opts,
+                  AutotuneState *autotune, const LayerExecOptions &opts,
                   std::vector<LayerRunRecord> *records);
 
     /**
@@ -89,7 +110,7 @@ class LayerExecutor
 
     const DnnModel &model_;
     Stonne &stonne_;
-    dse::AutoTuner *tuner_;
+    AutotuneState *autotune_;
     LayerExecOptions opts_;
     std::vector<LayerRunRecord> *records_;
     /** Tuning summary awaiting its operation's SimulationResult. */

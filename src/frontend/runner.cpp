@@ -18,12 +18,8 @@ ModelRunner::ModelRunner(const DnnModel &model, const HardwareConfig &cfg)
     // would race it to the same file with a resume-blind snapshot.
     stonne_.setAutoCheckpoint(false);
 
-    if (cfg.autotune) {
-        dse::TuneOptions opts;
-        opts.top_k = cfg.dse_top_k;
-        opts.cache_file = cfg.dse_cache_file;
-        tuner_ = std::make_unique<dse::AutoTuner>(cfg, opts);
-    }
+    if (cfg.autotune)
+        autotune_ = std::make_unique<AutotuneState>(cfg);
 }
 
 void
@@ -162,7 +158,7 @@ ModelRunner::forward(ForwardState st, bool simulate,
     opts.simulate = simulate;
     opts.snapea_early_exit = snapea_early_exit_;
     opts.offload_pooling = offload_pooling_;
-    LayerExecutor exec(model_, stonne_, tuner_.get(), opts, records);
+    LayerExecutor exec(model_, stonne_, autotune_.get(), opts, records);
 
     for (std::size_t i = st.next_layer; i < model_.layers.size(); ++i) {
         st.cur = exec.runLayer(i, st.cur, st.input, st.saved);

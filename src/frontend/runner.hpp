@@ -19,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "dse/tuner.hpp"
 #include "engine/stonne_api.hpp"
 #include "frontend/dnn_layer.hpp"
 #include "frontend/layer_exec.hpp"
@@ -100,8 +99,8 @@ class ModelRunner
 
     const DnnModel &model_;
     mutable Stonne stonne_;
-    /** Mapping auto-tuner, present only with `autotune = ON`. */
-    mutable std::unique_ptr<dse::AutoTuner> tuner_;
+    /** Auto-tuning state, present only with `autotune = ON`. */
+    mutable std::unique_ptr<AutotuneState> autotune_;
     std::vector<LayerRunRecord> records_;
     bool snapea_early_exit_ = true;
     bool offload_pooling_ = true;

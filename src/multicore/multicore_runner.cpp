@@ -133,15 +133,11 @@ MulticoreRunner::MulticoreRunner(const DnnModel &model,
         cores_.back()->setAutoCheckpoint(false);
     }
 
-    if (cfg_.autotune) {
-        dse::TuneOptions opts;
-        opts.top_k = cfg_.dse_top_k;
-        opts.cache_file = cfg_.dse_cache_file;
-        // Keyed on the original multi-core configuration: its
-        // structural text carries cores/channels/partition, so cached
-        // single-core outcomes can never answer a multi-core request.
-        tuner_ = std::make_unique<dse::AutoTuner>(cfg_, opts);
-    }
+    // Keyed on the original multi-core configuration: its structural
+    // text carries cores/channels/partition, so cached single-core
+    // outcomes can never answer a multi-core request.
+    if (cfg_.autotune)
+        autotune_ = std::make_unique<AutotuneState>(cfg_);
 
     if (cfg_.cores > 1) {
         contended_ = std::make_unique<bool[]>(
@@ -400,7 +396,7 @@ MulticoreRunner::runPipelineStage(std::size_t b, std::size_t s)
     opts.simulate = true;
     opts.snapea_early_exit = snapea_early_exit_;
     opts.offload_pooling = offload_pooling_;
-    LayerExecutor exec(model_, core, tuner_.get(), opts,
+    LayerExecutor exec(model_, core, autotune_.get(), opts,
                        &core_records_[static_cast<std::size_t>(core_idx)]);
 
     for (std::size_t i = first_l; i < last; ++i) {
@@ -583,7 +579,7 @@ MulticoreRunner::runKSplitLayer(std::size_t b, std::size_t i)
         opts.simulate = true;
         opts.snapea_early_exit = snapea_early_exit_;
         opts.offload_pooling = offload_pooling_;
-        LayerExecutor exec(model_, core, tuner_.get(), opts,
+        LayerExecutor exec(model_, core, autotune_.get(), opts,
                            &core_records_[static_cast<std::size_t>(c0)]);
         const cycle_t cyc0 = core.totalCycles();
         const count_t bytes0 = dramBytes(c0);
@@ -648,8 +644,8 @@ MulticoreRunner::runKSplitLayer(std::size_t b, std::size_t i)
 
             std::optional<Tile> tile;
             std::optional<DseSummary> dse;
-            if (tuner_) {
-                const dse::TuneReport rep = tuner_->tuneLayer(spec);
+            if (autotune_) {
+                const dse::TuneReport rep = autotuneLayer(*autotune_, spec);
                 tile = rep.best;
                 dse = rep.summary();
             }

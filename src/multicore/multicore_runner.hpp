@@ -56,7 +56,6 @@
 #include <vector>
 
 #include "common/json_writer.hpp"
-#include "dse/tuner.hpp"
 #include "engine/stonne_api.hpp"
 #include "frontend/layer_exec.hpp"
 #include "multicore/partition.hpp"
@@ -259,9 +258,9 @@ class MulticoreRunner
     const DnnModel &model_;
     HardwareConfig cfg_;
     mutable std::vector<std::unique_ptr<Stonne>> cores_;
-    /** Mapping auto-tuner, present only with `autotune = ON`; shared by
+    /** Auto-tuning state, present only with `autotune = ON`; shared by
      *  all cores (keyed on the multi-core structural text). */
-    mutable std::unique_ptr<dse::AutoTuner> tuner_;
+    mutable std::unique_ptr<AutotuneState> autotune_;
     SharedDramArbiter arbiter_;
     PipelinePartition part_;
     /** Skip-inhibit flags the cores' event engines watch (stable

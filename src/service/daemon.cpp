@@ -273,13 +273,10 @@ ServiceDaemon::handleLine(const std::string &line)
             pool_.submit([this, job, cfg, admitted_at] {
                 runJob(job, cfg, admitted_at);
             });
-        else if (req.type == RequestType::Tune)
+        else if (req.type == RequestType::Tune ||
+                 req.type == RequestType::Explore)
             pool_.submit([this, job, cfg, admitted_at] {
-                runTune(job, cfg, admitted_at);
-            });
-        else if (req.type == RequestType::Explore)
-            pool_.submit([this, job, cfg, admitted_at] {
-                runExplore(job, cfg, admitted_at);
+                runSearch(job, cfg, admitted_at);
             });
         else
             pool_.submit([this, job, cfg, admitted_at] {
@@ -378,8 +375,11 @@ ServiceDaemon::runJob(const JobRequest &req, const HardwareConfig &cfg,
 {
     const double queue_wait_ms = startJob(req.id, admitted_at);
 
+    // One cache rule for run, tune and explore jobs: `use_cache: false`
+    // reads and fills a job-local cache, never the shared one.
+    dse::ResultCache scratch;
     EnvelopeOptions eo{policyFor(req.id, cfg),
-                       req.use_cache ? &cache_ : nullptr};
+                       req.use_cache ? &cache_ : &scratch};
     if (req.repeat > 1)
         eo.snapshot_path = snapshotPathFor(req.id);
     const JobOutcome out = runJobEnvelope(cfg, req.layer, req.tile,
@@ -407,73 +407,40 @@ ServiceDaemon::runJob(const JobRequest &req, const HardwareConfig &cfg,
 }
 
 void
-ServiceDaemon::runTune(const JobRequest &req, const HardwareConfig &cfg,
-                       Clock::time_point admitted_at)
+ServiceDaemon::runSearch(const JobRequest &req, const HardwareConfig &cfg,
+                         Clock::time_point admitted_at)
 {
     const double queue_wait_ms = startJob(req.id, admitted_at);
 
+    dse::ResultCache scratch; // see runJob: the one use_cache rule
+    dse::ResultCache &cache = req.use_cache ? cache_ : scratch;
     JsonValue summary;
     std::uint64_t hit_count = 0;
     const RecoveryOutcome out =
         runWithRecovery(policyFor(req.id, cfg), [&](const Attempt &attempt) {
-            dse::TuneOptions topts;
-            topts.top_k = req.top_k ? *req.top_k : cfg.dse_top_k;
             // The daemon's workers are the parallelism; a nested
-            // candidate pool per tune job would oversubscribe the host.
-            topts.threads = 1;
-            topts.sparsity = req.sparsity;
-            topts.seed = req.seed;
-            topts.wall_deadline = attempt.deadline;
-            dse::AutoTuner tuner(attempt.config(cfg), topts, cache_);
-            const dse::TuneReport rep = tuner.tuneLayer(req.layer);
-            hit_count = rep.cache_hits;
-
-            summary = JsonValue::makeObject();
-            summary.set("chosen_tile", rep.best.canonical());
-            summary.set("chosen_cycles",
-                        static_cast<std::uint64_t>(rep.best_cycles));
-            summary.set("greedy_tile", rep.greedy_tile.canonical());
-            summary.set("greedy_cycles",
-                        static_cast<std::uint64_t>(rep.greedy_cycles));
-            summary.set("space_size", rep.space_size);
-            summary.set("evaluated",
-                        static_cast<std::uint64_t>(rep.ranked.size()));
-            summary.set("cache_hits", rep.cache_hits);
-            summary.set("simulations_run", rep.simulations_run);
-            summary.set("rank_correlation", rep.rank_correlation);
-        });
-
-    JsonValue svc = JsonValue::makeObject();
-    svc.set("cache_hit", hit_count > 0);
-    reply(req.id, out, std::move(summary), svc, queue_wait_ms, admitted_at,
-          hit_count);
-}
-
-void
-ServiceDaemon::runExplore(const JobRequest &req, const HardwareConfig &cfg,
-                          Clock::time_point admitted_at)
-{
-    const double queue_wait_ms = startJob(req.id, admitted_at);
-
-    JsonValue summary;
-    std::uint64_t hit_count = 0;
-    const RecoveryOutcome out =
-        runWithRecovery(policyFor(req.id, cfg), [&](const Attempt &attempt) {
-            explore::ExploreOptions eopts;
-            eopts.top_k = req.top_k ? *req.top_k : cfg.explore_top_k;
-            eopts.axes = req.axes.empty() ? cfg.explore_axes : req.axes;
-            // The daemon's workers are the parallelism; a nested
-            // candidate pool per explore job would oversubscribe the
+            // candidate pool per search job would oversubscribe the
             // host.
-            eopts.threads = 1;
-            eopts.sparsity = req.sparsity;
-            eopts.seed = req.seed;
-            eopts.wall_deadline = attempt.deadline;
-            explore::Explorer explorer(attempt.config(cfg), eopts, cache_);
-            const explore::ExploreReport rep =
-                explorer.exploreLayer(req.layer);
-            hit_count = rep.cache_hits;
-            summary = rep.json();
+            dse::SearchOptions search;
+            search.threads = 1;
+            search.sparsity = req.sparsity;
+            search.seed = req.seed;
+            search.wall_deadline = attempt.deadline;
+            if (req.type == RequestType::Tune) {
+                const dse::TuneReport rep = dse::tuneLayer(
+                    attempt.config(cfg), req.layer,
+                    {search, req.top_k.value_or(cfg.dse_top_k)}, cache);
+                hit_count = rep.cache_hits;
+                summary = rep.json();
+            } else {
+                const explore::ExploreReport rep = explore::exploreLayer(
+                    attempt.config(cfg), req.layer,
+                    {search, req.top_k.value_or(cfg.explore_top_k),
+                     req.axes.empty() ? cfg.explore_axes : req.axes},
+                    cache);
+                hit_count = rep.cache_hits;
+                summary = rep.json();
+            }
         });
 
     JsonValue svc = JsonValue::makeObject();

@@ -158,10 +158,9 @@ class ServiceDaemon
                std::uint64_t cache_hits);
     void runJob(const JobRequest &req, const HardwareConfig &cfg,
                 std::chrono::steady_clock::time_point admitted_at);
-    void runTune(const JobRequest &req, const HardwareConfig &cfg,
-                 std::chrono::steady_clock::time_point admitted_at);
-    void runExplore(const JobRequest &req, const HardwareConfig &cfg,
-                    std::chrono::steady_clock::time_point admitted_at);
+    /** A tune or explore job. */
+    void runSearch(const JobRequest &req, const HardwareConfig &cfg,
+                   std::chrono::steady_clock::time_point admitted_at);
     void runModel(const JobRequest &req, const HardwareConfig &cfg,
                   std::chrono::steady_clock::time_point admitted_at);
     void finishJob(const std::string &id);

@@ -1,25 +1,16 @@
 #include "service/envelope.hpp"
 
 #include <filesystem>
-#include <sstream>
 
 #include "checkpoint/archive.hpp"
 #include "checkpoint/checkpoint.hpp"
 #include "controller/mapper.hpp"
+#include "dse/search.hpp"
 #include "engine/workload.hpp"
 
 namespace stonne::service {
 
 namespace {
-
-/** Data-policy key part, byte-compatible with the tuner's. */
-std::string
-policyText(std::uint64_t seed, double sparsity)
-{
-    std::ostringstream os;
-    os << "seed=" << seed << " sparsity=" << sparsity;
-    return os.str();
-}
 
 /**
  * Whether a job's outcome is fully determined by the cache key (and
@@ -68,8 +59,8 @@ runJobEnvelope(const HardwareConfig &cfg, const LayerSpec &layer,
     if (may_cache) {
         const Tile key_tile =
             tile ? *tile : Mapper(job_cfg.ms_size).generateTile(layer);
-        cache_key = dse::ResultCache::keyText(job_cfg, layer, key_tile,
-                                              policyText(seed, sparsity));
+        cache_key = dse::ResultCache::keyText(
+            job_cfg, layer, key_tile, dse::policyText(seed, sparsity));
         if (const auto hit = opts.cache->lookup(cache_key)) {
             out.status = "done";
             out.cache_hit = true;

@@ -298,8 +298,14 @@ parseRequest(const std::string &line)
         badRequest(e.what());
     }
 
-    if (const JsonValue *v = root.find("tile"))
+    // A search picks its own tile and runs each candidate once.
+    const bool search = req.type == RequestType::Tune ||
+                        req.type == RequestType::Explore;
+    if (const JsonValue *v = root.find("tile")) {
+        if (search)
+            badRequest("'tile' only applies to run requests");
         req.tile = parseTile(*v);
+    }
 
     if (const JsonValue *v = root.find("seed")) {
         if (!v->isNumber() || v->kind() == JsonValue::Kind::Double)
@@ -312,8 +318,11 @@ parseRequest(const std::string &line)
             !std::isfinite(req.sparsity))
             badRequest("'sparsity' must be in [0, 1)");
     }
-    if (const JsonValue *v = root.find("repeat"))
+    if (const JsonValue *v = root.find("repeat")) {
+        if (search)
+            badRequest("'repeat' only applies to run requests");
         req.repeat = asIndex(*v, "repeat", 1);
+    }
     if (const JsonValue *v = root.find("use_cache"))
         req.use_cache = v->asBool();
 
@@ -324,8 +333,7 @@ parseRequest(const std::string &line)
     if (const JsonValue *v = root.find("retries"))
         req.retries = asIndex(*v, "retries", 0);
     if (const JsonValue *v = root.find("top_k")) {
-        if (req.type != RequestType::Tune &&
-            req.type != RequestType::Explore)
+        if (!search)
             badRequest("'top_k' only applies to tune and explore "
                        "requests");
         req.top_k = asIndex(*v, "top_k", 1);
@@ -338,9 +346,7 @@ parseRequest(const std::string &line)
         req.axes = v->asString();
     }
 
-    if ((req.type == RequestType::Tune ||
-         req.type == RequestType::Explore) &&
-        req.layer.kind != LayerKind::Gemm &&
+    if (search && req.layer.kind != LayerKind::Gemm &&
         req.layer.kind != LayerKind::Linear &&
         req.layer.kind != LayerKind::Convolution)
         badRequest(t + " supports conv|gemm|linear layers");

@@ -107,7 +107,7 @@ struct JobRequest {
     // --- workload -----------------------------------------------------
     bool has_layer = false;
     LayerSpec layer;
-    std::optional<Tile> tile;
+    std::optional<Tile> tile; //!< run only (a search picks its own)
 
     /** Model description file (run_model only). */
     std::string model_path;
@@ -117,7 +117,8 @@ struct JobRequest {
 
     std::uint64_t seed = 42;
     double sparsity = 0.0;
-    index_t repeat = 1;
+    index_t repeat = 1; //!< run only
+    /** Read and fill the shared result cache (run, tune and explore). */
     bool use_cache = true;
 
     // --- per-job envelope overrides (else the daemon's defaults) ------

@@ -37,27 +37,35 @@ im2col(const Tensor &input, const Conv2dShape &shape, index_t group)
     const index_t rows = shape.R * shape.S * cg;
     const index_t cols = shape.N * xo * yo;
 
-    Tensor out({rows, cols});
     const index_t c0 = group * cg;
+    panicIf(input.dim(0) < shape.N || input.dim(1) < c0 + cg ||
+                input.dim(2) < shape.X || input.dim(3) < shape.Y,
+            "im2col input tensor smaller than the convolution shape");
 
-    for (index_t n = 0; n < shape.N; ++n) {
-        for (index_t ox = 0; ox < xo; ++ox) {
-            for (index_t oy = 0; oy < yo; ++oy) {
-                const index_t col = (n * xo + ox) * yo + oy;
-                index_t row = 0;
-                for (index_t c = 0; c < cg; ++c) {
-                    for (index_t r = 0; r < shape.R; ++r) {
-                        for (index_t s = 0; s < shape.S; ++s, ++row) {
-                            const index_t ix =
-                                ox * shape.stride + r - shape.padding;
+    // Row (c, r, s) of the output is written contiguously: for each
+    // output position (n, ox, oy) in column order, the input element
+    // under filter tap (r, s) of channel c0 + c, or 0 in the padding.
+    Tensor out({rows, cols});
+    const index_t in_y = input.dim(3);
+    const index_t in_xy = input.dim(2) * in_y;
+    const index_t in_cxy = input.dim(1) * in_xy;
+    float *dst = out.data();
+    for (index_t c = 0; c < cg; ++c) {
+        for (index_t r = 0; r < shape.R; ++r) {
+            for (index_t s = 0; s < shape.S; ++s) {
+                for (index_t n = 0; n < shape.N; ++n) {
+                    const float *plane =
+                        input.data() + n * in_cxy + (c0 + c) * in_xy;
+                    for (index_t ox = 0; ox < xo; ++ox) {
+                        const index_t ix =
+                            ox * shape.stride + r - shape.padding;
+                        const bool row_in = ix >= 0 && ix < shape.X;
+                        for (index_t oy = 0; oy < yo; ++oy, ++dst) {
                             const index_t iy =
                                 oy * shape.stride + s - shape.padding;
-                            float v = 0.0f;
-                            if (ix >= 0 && ix < shape.X && iy >= 0 &&
-                                iy < shape.Y) {
-                                v = input.at(n, c0 + c, ix, iy);
-                            }
-                            out.at(row, col) = v;
+                            *dst = row_in && iy >= 0 && iy < shape.Y
+                                       ? plane[ix * in_y + iy]
+                                       : 0.0f;
                         }
                     }
                 }

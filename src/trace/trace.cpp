@@ -218,7 +218,7 @@ Tracer::interpolateSamples(const std::vector<count_t> &post,
 }
 
 void
-Tracer::setPhase(const std::string &name)
+Tracer::setPhase(std::string_view name)
 {
     if (name == phase_)
         return;

@@ -41,6 +41,7 @@
 #define STONNE_TRACE_TRACE_HPP
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -142,7 +143,7 @@ class Tracer : public Checkpointable
     void steadyEnd(cycle_t cycles);
 
     /** Controller phase change: closes the open span, opens the next. */
-    void setPhase(const std::string &name);
+    void setPhase(std::string_view name);
 
     /** Record an instant event (dropped flits, deadlock, ...). */
     void instant(const std::string &name, count_t value);

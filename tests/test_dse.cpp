@@ -19,15 +19,17 @@
 #include "controller/mapper.hpp"
 #include "dse/cache.hpp"
 #include "dse/tile_space.hpp"
+#include "dse/search.hpp"
 #include "dse/tuner.hpp"
 #include "engine/output_module.hpp"
+#include "explore/explorer.hpp"
 #include "frontend/model_zoo.hpp"
 #include "frontend/runner.hpp"
+#include "service/envelope.hpp"
 
 namespace stonne {
 namespace {
 
-using dse::AutoTuner;
 using dse::CachedOutcome;
 using dse::ResultCache;
 using dse::TileSpace;
@@ -271,8 +273,9 @@ TEST(AutoTuner, BeatsGreedyMapperOnShippedConfigs)
     for (const char *path :
          {"configs/maeri_256.cfg", "configs/maeri_128_traced.cfg"}) {
         const HardwareConfig cfg = HardwareConfig::parseFile(path);
-        AutoTuner tuner(cfg, TuneOptions{}); // in-memory cache
-        const TuneReport rep = tuner.tuneLayer(secLayer());
+        ResultCache cache; // in-memory
+        const TuneReport rep =
+            dse::tuneLayer(cfg, secLayer(), TuneOptions{}, cache);
         EXPECT_LT(rep.best_cycles, rep.greedy_cycles) << path;
         EXPECT_GT(rep.space_size, rep.ranked.size()) << path;
     }
@@ -283,8 +286,8 @@ TEST(AutoTuner, ReportIsConsistentAndDeterministic)
     const HardwareConfig cfg = HardwareConfig::maeriLike(64, 32);
     TuneOptions opts;
     opts.top_k = 6;
-    AutoTuner tuner(cfg, opts);
-    const TuneReport rep = tuner.tuneLayer(secLayer());
+    ResultCache cache;
+    const TuneReport rep = dse::tuneLayer(cfg, secLayer(), opts, cache);
 
     EXPECT_EQ(rep.ranked.size(), rep.cache_hits + rep.simulations_run);
     EXPECT_GE(rep.ranked.size(), 6u); // top-K plus maybe the greedy tile
@@ -307,9 +310,9 @@ TEST(AutoTuner, ReportIsConsistentAndDeterministic)
         });
     EXPECT_TRUE(greedy_ranked);
 
-    // Determinism: an independent tuner picks the identical tile.
-    AutoTuner again(cfg, opts);
-    const TuneReport rep2 = again.tuneLayer(secLayer());
+    // Determinism: an independent search picks the identical tile.
+    ResultCache fresh;
+    const TuneReport rep2 = dse::tuneLayer(cfg, secLayer(), opts, fresh);
     EXPECT_EQ(rep.best, rep2.best);
     EXPECT_EQ(rep.best_cycles, rep2.best_cycles);
 
@@ -325,26 +328,27 @@ TEST(AutoTuner, ReportIsConsistentAndDeterministic)
 
 TEST(AutoTuner, WarmCacheRunsZeroSimulations)
 {
-    // Acceptance: a re-run over a warm cache performs zero redundant
-    // cycle-level simulations, proven by the invocation counter.
+    // Acceptance: a re-run over a warm cache file performs zero
+    // redundant cycle-level simulations. The search only fills the
+    // cache; its owner (here the test, like the CLI) saves it.
     TempFile f("test_dse_warm.dse.cache");
     const HardwareConfig cfg = HardwareConfig::maeriLike(64, 64);
     TuneOptions opts;
     opts.top_k = 5;
-    opts.cache_file = f.path;
 
     Tile first_choice;
     {
-        AutoTuner cold(cfg, opts);
-        const TuneReport rep = cold.tuneLayer(secLayer());
+        ResultCache cold(f.path);
+        const TuneReport rep = dse::tuneLayer(cfg, secLayer(), opts, cold);
         EXPECT_GT(rep.simulations_run, 0u);
         EXPECT_EQ(rep.cache_hits, 0u);
-        EXPECT_EQ(cold.totalSimulations(), rep.simulations_run);
+        EXPECT_EQ(cold.size(), rep.simulations_run);
+        EXPECT_FALSE(std::filesystem::exists(f.path)); // never saved
+        cold.save();
         first_choice = rep.best;
     }
-    AutoTuner warm(cfg, opts);
-    const TuneReport rep = warm.tuneLayer(secLayer());
-    EXPECT_EQ(warm.totalSimulations(), 0u);
+    ResultCache warm(f.path);
+    const TuneReport rep = dse::tuneLayer(cfg, secLayer(), opts, warm);
     EXPECT_EQ(rep.simulations_run, 0u);
     EXPECT_EQ(rep.cache_hits, rep.ranked.size());
     EXPECT_EQ(rep.best, first_choice);
@@ -355,13 +359,13 @@ TEST(AutoTuner, WarmCacheRunsZeroSimulations)
 TEST(AutoTuner, CacheOutcomesMatchFreshSimulation)
 {
     // A cache hit must report exactly what a simulation would have: tune
-    // twice in one tuner (second call all-hits) and compare reports.
+    // twice over one cache (second call all-hits) and compare reports.
     const HardwareConfig cfg = HardwareConfig::maeriLike(64, 32);
     TuneOptions opts;
     opts.top_k = 4;
-    AutoTuner tuner(cfg, opts);
-    const TuneReport cold = tuner.tuneLayer(secLayer());
-    const TuneReport warm = tuner.tuneLayer(secLayer());
+    ResultCache cache;
+    const TuneReport cold = dse::tuneLayer(cfg, secLayer(), opts, cache);
+    const TuneReport warm = dse::tuneLayer(cfg, secLayer(), opts, cache);
     EXPECT_EQ(warm.simulations_run, 0u);
     ASSERT_EQ(cold.ranked.size(), warm.ranked.size());
     for (std::size_t i = 0; i < cold.ranked.size(); ++i) {
@@ -560,23 +564,94 @@ TEST(ResultCacheTest, TunersShareAnExternalCache)
     opts.threads = 1;
 
     ResultCache shared; // in-memory, externally owned
-    TuneReport first;
-    {
-        AutoTuner tuner(cfg, opts, shared);
-        first = tuner.tuneLayer(secLayer());
-        EXPECT_GT(first.simulations_run, 0u);
-    }
+    const TuneReport first = dse::tuneLayer(cfg, secLayer(), opts, shared);
+    EXPECT_GT(first.simulations_run, 0u);
     EXPECT_GT(shared.size(), 0u);
-    {
-        // A second tuner over the same shared cache re-tunes the same
-        // layer without a single new simulation.
-        AutoTuner tuner(cfg, opts, shared);
-        const TuneReport again = tuner.tuneLayer(secLayer());
-        EXPECT_EQ(again.simulations_run, 0u);
-        EXPECT_EQ(again.cache_hits, again.ranked.size());
-        EXPECT_EQ(again.best.canonical(), first.best.canonical());
-        EXPECT_EQ(again.best_cycles, first.best_cycles);
-    }
+
+    // A second search over the same shared cache re-tunes the same
+    // layer without a single new simulation.
+    const TuneReport again = dse::tuneLayer(cfg, secLayer(), opts, shared);
+    EXPECT_EQ(again.simulations_run, 0u);
+    EXPECT_EQ(again.cache_hits, again.ranked.size());
+    EXPECT_EQ(again.best.canonical(), first.best.canonical());
+    EXPECT_EQ(again.best_cycles, first.best_cycles);
+}
+
+// --- Cache-key compatibility ------------------------------------------
+
+/**
+ * keyText of one fixed point, as every earlier release wrote it. A
+ * change here orphans every stonne_dse.cache file already on disk.
+ */
+constexpr const char *kPinnedKey = R"([config]
+name = MAERI
+dn_type = TREE
+mn_type = LINEAR
+rn_type = ART_ACC
+controller = DENSE
+dataflow = OS
+sparse_format = CSR
+ms_size = 64
+dn_bandwidth = 16
+rn_bandwidth = 16
+fifo_capacity = 8
+accumulator_size = 256
+gb_size_kib = 108
+dram_bandwidth_gbps = 512
+dram_latency_cycles = 100
+clock_ghz = 1
+data_type = FP8
+watchdog_cycles = 1
+[layer]
+CONV R3 S3 C4 K8 G1 N1 X6 Y6 stride1 pad1
+[tile]
+1x1x2x1x8x1x2x2
+[policy]
+seed=1 sparsity=0
+)";
+
+TEST(ResultCacheTest, KeyTextIsPinnedAndSharedByEverySearchPath)
+{
+    const HardwareConfig cfg = HardwareConfig::maeriLike(64, 16);
+    Conv2dShape c;
+    c.R = 3;
+    c.S = 3;
+    c.C = 4;
+    c.K = 8;
+    c.X = 6;
+    c.Y = 6;
+    c.padding = 1;
+    const LayerSpec layer = LayerSpec::convolution("pin", c);
+    const Tile tile = dse::rankTiles(layer, cfg).front().tile;
+    ASSERT_EQ(tile.canonical(), "1x1x2x1x8x1x2x2");
+    EXPECT_EQ(ResultCache::keyText(cfg, layer, tile, dse::policyText(1, 0.0)),
+              kPinnedKey);
+
+    // tune: top_k 1 evaluates the analytically best tile.
+    ResultCache tuned;
+    TuneOptions topts;
+    topts.top_k = 1;
+    topts.threads = 1;
+    dse::tuneLayer(cfg, layer, topts, tuned);
+    EXPECT_TRUE(tuned.lookup(kPinnedKey).has_value());
+
+    // explore: the only variant is the base, mapped on its best tile.
+    ResultCache explored;
+    explore::ExploreOptions eopts;
+    eopts.top_k = 1;
+    eopts.threads = 1;
+    eopts.axes = "dn_bandwidth=16:16";
+    explore::exploreLayer(cfg, layer, eopts, explored);
+    EXPECT_TRUE(explored.lookup(kPinnedKey).has_value());
+
+    // The service's run envelope keys a run job the same way.
+    ResultCache ran;
+    service::EnvelopeOptions ropts;
+    ropts.cache = &ran;
+    const service::JobOutcome out =
+        service::runJobEnvelope(cfg, layer, tile, 1, 0.0, 1, ropts);
+    ASSERT_EQ(out.status, "done");
+    EXPECT_TRUE(ran.lookup(kPinnedKey).has_value());
 }
 
 } // namespace

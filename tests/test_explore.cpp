@@ -31,7 +31,7 @@ using explore::DesignPoint;
 using explore::DesignSpace;
 using explore::dominates;
 using explore::ExploreOptions;
-using explore::Explorer;
+using explore::exploreLayer;
 using explore::ExploreReport;
 using explore::Objectives;
 using explore::paretoFront;
@@ -305,14 +305,13 @@ TEST(DesignSpaceTest, EnumerationIsDeterministic)
 // -------------------------------------------------------------- Explorer
 
 ExploreOptions
-smallOptions(std::string cache_file = "")
+smallOptions()
 {
     ExploreOptions o;
     o.top_k = 2;
     o.threads = 1;
     o.axes = "dn_bandwidth,rn_bandwidth";
     o.seed = 7;
-    o.cache_file = std::move(cache_file);
     return o;
 }
 
@@ -321,10 +320,9 @@ TEST(ExplorerTest, FrontierIsDeterministicAndNonDominated)
     const HardwareConfig base = HardwareConfig::maeriLike(16, 8);
     const LayerSpec layer = LayerSpec::gemmLayer("g", 8, 8, 8);
 
-    Explorer e1(base, smallOptions());
-    const ExploreReport r1 = e1.exploreLayer(layer);
-    Explorer e2(base, smallOptions());
-    const ExploreReport r2 = e2.exploreLayer(layer);
+    dse::ResultCache c1, c2;
+    const ExploreReport r1 = exploreLayer(base, layer, smallOptions(), c1);
+    const ExploreReport r2 = exploreLayer(base, layer, smallOptions(), c2);
 
     ASSERT_FALSE(r1.frontier.empty());
     ASSERT_EQ(r1.frontier.size(), r2.frontier.size());
@@ -364,13 +362,15 @@ TEST(ExplorerTest, WarmCacheAnswersWithZeroSimulations)
     const HardwareConfig base = HardwareConfig::maeriLike(16, 8);
     const LayerSpec layer = LayerSpec::gemmLayer("g", 8, 8, 8);
 
-    Explorer cold(base, smallOptions(cache.path));
-    const ExploreReport r1 = cold.exploreLayer(layer);
-    EXPECT_GT(cold.totalSimulations(), 0u);
+    // The search never saves; the cache's owner does.
+    dse::ResultCache cold(cache.path);
+    const ExploreReport r1 = exploreLayer(base, layer, smallOptions(), cold);
+    EXPECT_GT(r1.simulations_run, 0u);
+    EXPECT_FALSE(std::filesystem::exists(cache.path));
+    cold.save();
 
-    Explorer warm(base, smallOptions(cache.path));
-    const ExploreReport r2 = warm.exploreLayer(layer);
-    EXPECT_EQ(warm.totalSimulations(), 0u);
+    dse::ResultCache warm(cache.path);
+    const ExploreReport r2 = exploreLayer(base, layer, smallOptions(), warm);
     EXPECT_EQ(r2.simulations_run, 0u);
     EXPECT_EQ(r2.cache_hits, r2.points.size());
 
@@ -385,8 +385,8 @@ TEST(ExplorerTest, FrontierConfigTextsReRunToTheSameCycles)
     const HardwareConfig base = HardwareConfig::maeriLike(16, 8);
     const LayerSpec layer = LayerSpec::gemmLayer("g", 8, 8, 8);
     ExploreOptions opts = smallOptions();
-    Explorer explorer(base, opts);
-    const ExploreReport rep = explorer.exploreLayer(layer);
+    dse::ResultCache cache;
+    const ExploreReport rep = exploreLayer(base, layer, opts, cache);
 
     ASSERT_FALSE(rep.frontier.empty());
     const explore::ExplorePoint &p = rep.points[rep.frontier.front()];
@@ -408,8 +408,8 @@ TEST(ExplorerTest, FabricAxisPutsSparseVariantsInTheRace)
     const LayerSpec layer = LayerSpec::gemmLayer("g", 8, 8, 8);
     ExploreOptions opts = smallOptions();
     opts.axes = "fabric";
-    Explorer explorer(base, opts);
-    const ExploreReport rep = explorer.exploreLayer(layer);
+    dse::ResultCache cache;
+    const ExploreReport rep = exploreLayer(base, layer, opts, cache);
     EXPECT_EQ(rep.variants, 2u);
     bool saw_sparse = false;
     for (const explore::ExplorePoint &p : rep.points)
@@ -420,12 +420,14 @@ TEST(ExplorerTest, FabricAxisPutsSparseVariantsInTheRace)
 
 TEST(ExplorerTest, RejectsNonDenseBaseAndWrongLayerKinds)
 {
-    EXPECT_THROW(
-        Explorer(HardwareConfig::sigmaLike(16, 8), smallOptions())
-            .exploreLayer(LayerSpec::gemmLayer("g", 8, 8, 8)),
-        FatalError);
-    Explorer e(HardwareConfig::maeriLike(16, 8), smallOptions());
-    EXPECT_THROW(e.exploreLayer(LayerSpec::sparseGemm("s", 8, 8, 8)),
+    dse::ResultCache cache;
+    EXPECT_THROW(exploreLayer(HardwareConfig::sigmaLike(16, 8),
+                              LayerSpec::gemmLayer("g", 8, 8, 8),
+                              smallOptions(), cache),
+                 FatalError);
+    EXPECT_THROW(exploreLayer(HardwareConfig::maeriLike(16, 8),
+                              LayerSpec::sparseGemm("s", 8, 8, 8),
+                              smallOptions(), cache),
                  FatalError);
 }
 

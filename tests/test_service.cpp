@@ -284,6 +284,18 @@ TEST(ServiceProtocol, StrictMemberAndValueChecks)
     EXPECT_EQ(protoCode(
                   R"({"type":"run","id":"a","layer":{"kind":"warp"}})"),
               kErrBadRequest);
+    // A search picks its own tile and runs each candidate once, so
+    // `tile` and `repeat` are run-only instead of silently ignored.
+    for (const std::string type : {"tune", "explore"}) {
+        const std::string head = R"({"type":")" + type +
+                                 R"(","id":"a","layer":)" + convJson();
+        EXPECT_EQ(protoCode(head + R"(,"tile":[1,1,1,1,1,1,1,1]})"),
+                  kErrBadRequest)
+            << type;
+        EXPECT_EQ(protoCode(head + R"(,"repeat":2})"), kErrBadRequest)
+            << type;
+        EXPECT_EQ(protoCode(head + "}"), "") << type;
+    }
     // A valid run request parses.
     EXPECT_EQ(protoCode(R"({"type":"run","id":"a","layer":)" + convJson() +
                         "}"),
@@ -760,6 +772,51 @@ TEST(ServiceDaemon, TuneJobWarmsTheCacheForRunJobs)
     ASSERT_NE(warm, nullptr);
     EXPECT_EQ(warm->find("status")->asString(), "done");
     EXPECT_TRUE(warm->find("service")->find("cache_hit")->asBool());
+}
+
+TEST(ServiceDaemon, UseCacheFalseBypassesTheSharedCacheForSearches)
+{
+    const std::string layer = R"({"kind":"gemm","name":"g","M":16,)"
+                              R"("N":16,"K":16})";
+    // {type, extra members, simulations member, evaluated member}
+    const std::vector<std::vector<std::string>> searches = {
+        {"tune", R"("top_k":2,)", "simulations_run", "evaluated"},
+        {"explore", R"("top_k":1,"axes":"dn_bandwidth",)", "simulations",
+         "candidates"},
+    };
+    for (const std::vector<std::string> &s : searches) {
+        SCOPED_TRACE(s[0]);
+        std::ostringstream out;
+        ServiceOptions opts;
+        opts.base = HardwareConfig::maeriLike(64, 16);
+        opts.base.service_workers = 1;
+        ServiceDaemon daemon(opts, out);
+
+        const std::string head = R"({"type":")" + s[0] + R"(","id":")";
+        EXPECT_TRUE(daemon.handleLine(head + R"(warm",)" + s[1] +
+                                      R"("layer":)" + layer + "}"));
+        daemon.drain();
+        const std::size_t shared_size = daemon.cache().size();
+        EXPECT_GT(shared_size, 0u);
+
+        // The same search again, told to bypass the shared cache: it
+        // simulates every candidate and leaves the shared cache alone.
+        EXPECT_TRUE(daemon.handleLine(head + R"(cold",)" + s[1] +
+                                      R"("use_cache":false,"layer":)" +
+                                      layer + "}"));
+        daemon.finish();
+
+        const auto responses = parseLines(out.str());
+        const JsonValue *cold = findResult(responses, "cold");
+        ASSERT_NE(cold, nullptr);
+        ASSERT_EQ(cold->find("status")->asString(), "done");
+        const JsonValue &sum = *cold->find("summary");
+        EXPECT_EQ(sum.find("cache_hits")->asUint64(), 0u);
+        EXPECT_EQ(sum.find(s[2])->asUint64(), sum.find(s[3])->asUint64());
+        EXPECT_GT(sum.find(s[2])->asUint64(), 0u);
+        EXPECT_FALSE(cold->find("service")->find("cache_hit")->asBool());
+        EXPECT_EQ(daemon.cache().size(), shared_size);
+    }
 }
 
 // --- tune and explore run on the same retry ladder -------------------
