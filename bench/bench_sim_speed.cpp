@@ -21,9 +21,17 @@
  *
  * Points are timed serially on one sweep thread, so the figures do not
  * depend on how many cores the host has.
+ *
+ * Functional-kernel points time the register-blocked kernels that
+ * compute the flexible controllers' outputs (src/tensor/kernel.hpp)
+ * against the naive ref:: oracles on ResNet-50 and BERT shapes. The
+ * harness panics unless both produce the same bytes; the MAC rate of
+ * each and the median per-pair speedup go to the same JSON. The CI
+ * perf-smoke job gates on the median speedup over these points.
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -37,6 +45,8 @@
 #include "frontend/model_zoo.hpp"
 #include "frontend/runner.hpp"
 #include "multicore/multicore_runner.hpp"
+#include "tensor/kernel.hpp"
+#include "tensor/reference.hpp"
 #include "sweep.hpp"
 
 namespace {
@@ -278,6 +288,146 @@ runBatchPoint()
     return p;
 }
 
+/** Timed pairs per functional-kernel point. Each pair runs the naive
+ *  reference once (about 0.1-0.5 s on these shapes), so it is small. */
+constexpr int kKernelReps = 5;
+
+/** One functional kernel against its reference oracle. */
+struct KernelPoint {
+    std::string name;
+    double macs = 0.0;
+    Spread kernel_wall{};
+    Spread reference_wall{};
+    double speedup = 0.0; //!< median over pairs of reference / kernel
+};
+
+template <typename Fn>
+double
+wallOf(const Fn &fn)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)fn();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
+/**
+ * One untimed pair whose outputs must match byte for byte, then
+ * kKernelReps timed pairs in alternating order. Both callables return
+ * their output tensor, so allocation is timed on both sides.
+ */
+template <typename Kernel, typename Reference>
+KernelPoint
+timeKernel(std::string name, index_t macs, const Kernel &kernel,
+           const Reference &reference)
+{
+    KernelPoint p{std::move(name), static_cast<double>(macs)};
+    const Tensor got = kernel();
+    const Tensor want = reference();
+    panicIf(got.shape() != want.shape() ||
+                std::memcmp(got.data(), want.data(),
+                            static_cast<std::size_t>(got.size()) *
+                                sizeof(float)) != 0,
+            "'", p.name, "': functional kernel differs from the reference");
+    std::vector<double> k, r, ratio;
+    for (int rep = 0; rep < kKernelReps; ++rep) {
+        double kw = 0.0, rw = 0.0;
+        if (rep % 2 == 0) {
+            kw = wallOf(kernel);
+            rw = wallOf(reference);
+        } else {
+            rw = wallOf(reference);
+            kw = wallOf(kernel);
+        }
+        k.push_back(kw);
+        r.push_back(rw);
+        if (kw > 0.0)
+            ratio.push_back(rw / kw);
+    }
+    p.kernel_wall = spreadOf(std::move(k));
+    p.reference_wall = spreadOf(std::move(r));
+    p.speedup = ratio.empty() ? 0.0 : spreadOf(std::move(ratio)).median;
+    return p;
+}
+
+KernelPoint
+convKernelPoint(std::string name, const Conv2dShape &s)
+{
+    Rng rng(5);
+    Tensor input({s.N, s.C, s.X, s.Y});
+    Tensor weights({s.K, s.cPerGroup(), s.R, s.S});
+    Tensor bias({s.K});
+    input.fillUniform(rng);
+    weights.fillUniform(rng);
+    bias.fillUniform(rng, -0.1f, 0.1f);
+    return timeKernel(
+        std::move(name), s.macs(),
+        [&] {
+            Tensor out({s.N, s.K, s.outX(), s.outY()});
+            kernel::conv2d(s, input, weights, bias, out);
+            return out;
+        },
+        [&] { return ref::conv2d(input, weights, bias, s); });
+}
+
+/** A GEMM as DenseController::runGemm maps it onto the convolution
+ *  pipeline: M filters of a 1x1 window over K channels, N columns. */
+KernelPoint
+gemmKernelPoint(std::string name, index_t m, index_t n, index_t k)
+{
+    Rng rng(6);
+    Tensor a({m, k}), b({k, n});
+    a.fillUniform(rng);
+    b.fillUniform(rng);
+    Conv2dShape s;
+    s.C = k;
+    s.K = m;
+    s.Y = n;
+    const Tensor input = b.reshaped({1, k, 1, n});
+    const Tensor weights = a.reshaped({m, k, 1, 1});
+    return timeKernel(
+        std::move(name), s.macs(),
+        [&] {
+            Tensor out({1, m, 1, n});
+            kernel::conv2d(s, input, weights, Tensor(), out);
+            return out.reshaped({m, n});
+        },
+        [&] { return ref::gemm(a, b); });
+}
+
+Conv2dShape
+convShape(index_t r, index_t c, index_t k, index_t xy, index_t stride,
+          index_t pad)
+{
+    Conv2dShape s;
+    s.R = r;
+    s.S = r;
+    s.C = c;
+    s.K = k;
+    s.X = xy;
+    s.Y = xy;
+    s.stride = stride;
+    s.padding = pad;
+    return s;
+}
+
+/** ResNet-50 Full layers (the 14x14 stage and conv1) and a BERT-base
+ *  attention projection (hidden 768, sequence 128). */
+std::vector<KernelPoint>
+runKernelPoints()
+{
+    return {
+        convKernelPoint("resnet50 1x1 C1024->256 14x14",
+                        convShape(1, 1024, 256, 14, 1, 0)),
+        convKernelPoint("resnet50 3x3 C256->256 14x14 pad 1",
+                        convShape(3, 256, 256, 14, 1, 1)),
+        convKernelPoint("resnet50 conv1 7x7/2 C3->64 224x224 pad 3",
+                        convShape(7, 3, 64, 224, 2, 3)),
+        gemmKernelPoint("bert gemm M768 N128 K768", 768, 128, 768),
+    };
+}
+
 } // namespace
 
 int
@@ -393,6 +543,41 @@ main()
     std::printf("\n");
     mt.print();
     j["model_points"] = marr;
+
+    // Functional-kernel points: the outputs' compute, not the cycles.
+    const std::vector<KernelPoint> kernel_points = runKernelPoints();
+    TablePrinter kt({"functional kernel", "MACs", "kernel MAC/s",
+                     "reference MAC/s", "speedup"});
+    JsonValue karr = JsonValue::makeArray();
+    std::vector<double> speedups;
+    for (const KernelPoint &p : kernel_points) {
+        const double kernel_rate = p.macs / p.kernel_wall.median;
+        const double ref_rate = p.macs / p.reference_wall.median;
+        kt.addRow({p.name, TablePrinter::num(static_cast<count_t>(p.macs)),
+                   TablePrinter::num(kernel_rate, 0),
+                   TablePrinter::num(ref_rate, 0),
+                   TablePrinter::num(p.speedup, 2)});
+        JsonValue o = JsonValue::makeObject();
+        o.set("workload", p.name);
+        o.set("macs", p.macs);
+        o["kernel_wall_seconds"] = spreadJson(p.kernel_wall);
+        o["reference_wall_seconds"] = spreadJson(p.reference_wall);
+        o.set("kernel_macs_per_second", kernel_rate);
+        o.set("reference_macs_per_second", ref_rate);
+        o.set("speedup", p.speedup);
+        o.set("byte_exact", true);
+        karr.append(std::move(o));
+        speedups.push_back(p.speedup);
+    }
+    const double median_kernel_speedup = spreadOf(speedups).median;
+    std::printf("\n");
+    kt.print();
+    std::printf("median functional-kernel speedup over the reference: "
+                "%.2fx (byte-exact on all %zu points)\n",
+                median_kernel_speedup, kernel_points.size());
+    j["kernel_points"] = karr;
+    j.set("kernel_reps", static_cast<std::int64_t>(kKernelReps));
+    j.set("median_kernel_speedup", median_kernel_speedup);
 
     j["recovery"] = RecoveringSweepRunner::summary(outcomes);
     OutputModule::writeFile("BENCH_sim_speed.json", j.dump() + "\n");

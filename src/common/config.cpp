@@ -630,11 +630,15 @@ HardwareConfig::structuralText() const
     c.checkpoint = false;
     c.checkpoint_file.clear();
     c.checkpoint_interval_cycles = 1;
+    const HardwareConfig defaults;
+    // Tracing observes a run without changing it: a traced config and
+    // its silenced() twin are the same hardware.
+    c.trace = false;
     c.trace_file.clear();
+    c.trace_sample_cycles = defaults.trace_sample_cycles;
     c.autotune = false;
     c.dse_top_k = 1;
     c.dse_cache_file.clear();
-    const HardwareConfig defaults;
     c.explore = false;
     c.explore_axes = defaults.explore_axes;
     c.explore_top_k = defaults.explore_top_k;

@@ -10,6 +10,7 @@
 #include "network/rn_linear.hpp"
 #include "network/systolic.hpp"
 #include "tensor/im2col.hpp"
+#include "tensor/kernel.hpp"
 #include "tensor/reference.hpp"
 
 namespace stonne {
@@ -42,48 +43,6 @@ DenseController::traceAdvance(cycle_t cycles)
 {
     if (trace_ != nullptr && cycles > 0)
         trace_->advance(cycles);
-}
-
-float
-DenseController::convOutputValue(const Conv2dShape &shape,
-                                 const Tensor &input, const Tensor &weights,
-                                 const Tensor &bias, index_t n, index_t ko,
-                                 index_t ox, index_t oy)
-{
-    const index_t cg = shape.cPerGroup();
-    const index_t g = ko / shape.kPerGroup();
-    const float *in = input.data();
-    const float *w = weights.data() + ko * cg * shape.R * shape.S;
-    const index_t in_c_stride = shape.X * shape.Y;
-    const index_t in_n_stride = shape.C * in_c_stride;
-
-    // The in-bounds filter rows/columns of this output position are a
-    // contiguous sub-rectangle, invariant across channels: hoisting the
-    // bounds out of the inner loops leaves a branch-free multiply-add
-    // kernel. Skipped out-of-bounds terms contribute nothing, and the
-    // kept terms accumulate in the identical (c, r, s) order, so the
-    // float result is bit-identical to the guarded form.
-    const index_t x_base = ox * shape.stride - shape.padding;
-    const index_t y_base = oy * shape.stride - shape.padding;
-    const index_t r_lo = std::max<index_t>(0, -x_base);
-    const index_t r_hi = std::min(shape.R, shape.X - x_base);
-    const index_t s_lo = std::max<index_t>(0, -y_base);
-    const index_t s_hi = std::min(shape.S, shape.Y - y_base);
-
-    float acc = 0.0f;
-    for (index_t c = 0; c < cg; ++c) {
-        const float *in_c =
-            in + n * in_n_stride + (g * cg + c) * in_c_stride;
-        const float *wc = w + c * shape.R * shape.S;
-        for (index_t r = r_lo; r < r_hi; ++r) {
-            const float *in_row =
-                in_c + (x_base + r) * shape.Y + y_base;
-            const float *wr = wc + r * shape.S;
-            for (index_t s = s_lo; s < s_hi; ++s)
-                acc += wr[s] * in_row[s];
-        }
-    }
-    return acc + (bias.empty() ? 0.0f : bias.at(ko));
 }
 
 ControllerResult
@@ -495,100 +454,10 @@ DenseController::runConvFlexible(const Conv2dShape &shape, const Tile &tile,
         }
     }
 
-    // Functional results: every output reduced in canonical order so the
-    // simulator output bit-matches the CPU reference. Interior columns
-    // (where the whole S window is in bounds) are computed a block at a
-    // time: each output still accumulates its own terms in (c, r, s)
-    // order — the per-column chains are merely independent, which lets
-    // the compiler overlap their serial float-add latencies — so the
-    // values stay bit-identical to the scalar convOutputValue() used on
-    // the edge columns.
+    // Functional results: every output reduced in canonical order, so
+    // the simulated output bit-matches the CPU reference.
     phase_.set("functional reduce");
-    {
-        const index_t st = shape.stride;
-        const index_t pad = shape.padding;
-        const index_t oy_lo = std::min<index_t>(yo, (pad + st - 1) / st);
-        index_t oy_hi = oy_lo;
-        if (shape.Y - shape.S + pad >= 0)
-            oy_hi = std::max(
-                oy_lo, std::min<index_t>(
-                           yo, (shape.Y - shape.S + pad) / st + 1));
-        const index_t in_c_stride = shape.X * shape.Y;
-        const index_t in_n_stride = shape.C * in_c_stride;
-        constexpr index_t kBlock = 16;
-        float acc[kBlock];
-        for (index_t n = 0; n < shape.N; ++n) {
-            for (index_t ko = 0; ko < shape.K; ++ko) {
-                const index_t g = ko / shape.kPerGroup();
-                const float *w =
-                    weights.data() + ko * cg * shape.R * shape.S;
-                const float bias_v = bias.empty() ? 0.0f : bias.at(ko);
-                const float *in_n = input.data() + n * in_n_stride +
-                    g * cg * in_c_stride;
-                for (index_t ox = 0; ox < xo; ++ox) {
-                    float *out_row = output.data() +
-                        ((n * shape.K + ko) * xo + ox) * yo;
-                    const index_t x_base = ox * st - pad;
-                    const index_t r_lo = std::max<index_t>(0, -x_base);
-                    const index_t r_hi =
-                        std::min(shape.R, shape.X - x_base);
-                    for (index_t oy = 0; oy < oy_lo; ++oy)
-                        out_row[oy] = convOutputValue(
-                            shape, input, weights, bias, n, ko, ox, oy);
-                    for (index_t oy0 = oy_lo; oy0 < oy_hi;
-                         oy0 += kBlock) {
-                        const index_t m =
-                            std::min(kBlock, oy_hi - oy0);
-                        for (index_t i = 0; i < m; ++i)
-                            acc[i] = 0.0f;
-                        for (index_t c = 0; c < cg; ++c) {
-                            const float *in_c = in_n + c * in_c_stride;
-                            const float *wc =
-                                w + c * shape.R * shape.S;
-                            for (index_t r = r_lo; r < r_hi; ++r) {
-                                const float *in_row = in_c +
-                                    (x_base + r) * shape.Y +
-                                    oy0 * st - pad;
-                                const float *wr = wc + r * shape.S;
-                                for (index_t s = 0; s < shape.S; ++s) {
-                                    const float ws = wr[s];
-                                    const float *ir = in_row + s;
-                                    if (st == 1) {
-                                        // Unit stride: adjacent
-                                        // columns read adjacent input
-                                        // elements. The constant-trip
-                                        // groups of four below map to
-                                        // one 4-float SIMD fma each
-                                        // under basic-block
-                                        // vectorization; per-column
-                                        // accumulation order is
-                                        // untouched.
-                                        index_t i = 0;
-                                        for (; i + 4 <= m; i += 4) {
-                                            acc[i] += ws * ir[i];
-                                            acc[i + 1] += ws * ir[i + 1];
-                                            acc[i + 2] += ws * ir[i + 2];
-                                            acc[i + 3] += ws * ir[i + 3];
-                                        }
-                                        for (; i < m; ++i)
-                                            acc[i] += ws * ir[i];
-                                    } else {
-                                        for (index_t i = 0; i < m; ++i)
-                                            acc[i] += ws * ir[i * st];
-                                    }
-                                }
-                            }
-                        }
-                        for (index_t i = 0; i < m; ++i)
-                            out_row[oy0 + i] = acc[i] + bias_v;
-                    }
-                    for (index_t oy = oy_hi; oy < yo; ++oy)
-                        out_row[oy] = convOutputValue(
-                            shape, input, weights, bias, n, ko, ox, oy);
-                }
-            }
-        }
-    }
+    kernel::conv2d(shape, input, weights, bias, output);
 
     res.mem_accesses = gb_.totalReads() + gb_.totalWrites() - mem0;
     res.ms_utilization = res.cycles > 0

@@ -125,12 +125,6 @@ class DenseController : public Checkpointable
     ControllerResult runGemmSystolic(const Tensor &a, const Tensor &b,
                                      Tensor &c);
 
-    /** Canonical-order dot product of one output window. */
-    static float convOutputValue(const Conv2dShape &shape,
-                                 const Tensor &input, const Tensor &weights,
-                                 const Tensor &bias, index_t n, index_t ko,
-                                 index_t ox, index_t oy);
-
     /** Advance the trace clock over a closed-form region (if tracing). */
     void traceAdvance(cycle_t cycles);
 

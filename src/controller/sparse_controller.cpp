@@ -6,6 +6,7 @@
 #include "common/logging.hpp"
 #include "engine/event_engine.hpp"
 #include "network/dn_benes.hpp"
+#include "tensor/kernel.hpp"
 
 namespace stonne {
 
@@ -133,24 +134,9 @@ SparseController::runSpMM(const CsrMatrix &a, const Tensor &b, Tensor &c,
     }
 
     // Functional results in canonical CSR order (bit-exact against the
-    // reference SpMM); fully pruned rows emit zeros directly. Raw
-    // pointers keep the at() bounds checks out of the innermost MAC.
+    // reference SpMM); fully pruned rows emit zeros.
     phase_.set("functional reduce");
-    const float *bd = b.data();
-    float *cd = c.data();
-    for (index_t r = 0; r < a.rows; ++r) {
-        const index_t p0 = a.row_ptr[static_cast<std::size_t>(r)];
-        const index_t p1 = a.row_ptr[static_cast<std::size_t>(r + 1)];
-        float *crow = cd + r * n;
-        for (index_t j = 0; j < n; ++j) {
-            float acc = 0.0f;
-            for (index_t p = p0; p < p1; ++p) {
-                acc += a.values[static_cast<std::size_t>(p)] *
-                       bd[a.col_idx[static_cast<std::size_t>(p)] * n + j];
-            }
-            crow[j] = acc;
-        }
-    }
+    kernel::spmm(a, b, c);
 
     res.mem_accesses = gb_.totalReads() + gb_.totalWrites() - mem0;
     res.ms_utilization = res.cycles > 0

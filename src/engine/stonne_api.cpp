@@ -318,33 +318,40 @@ Stonne::runOperationImpl()
             const index_t kg = c.kPerGroup();
             const GemmDims gd = layer_.gemmView();
 
-            Tensor a({c.K, c.G * window});
-            Tensor b({c.G * window, gd.n});
-            for (index_t g = 0; g < c.G; ++g) {
-                const Tensor ag = filtersToMatrix(weights_, c, g);
-                for (index_t k = 0; k < kg; ++k)
-                    for (index_t e = 0; e < window; ++e)
-                        a.at(g * kg + k, g * window + e) = ag.at(k, e);
-                const Tensor bg = im2col(input_, c, g);
-                for (index_t e = 0; e < window; ++e)
-                    for (index_t j = 0; j < gd.n; ++j)
-                        b.at(g * window + e, j) = bg.at(e, j);
+            Tensor a, b;
+            if (c.G == 1) {
+                a = filtersToMatrix(weights_, c, 0);
+                b = im2col(input_, c, 0);
+            } else {
+                a = Tensor({c.K, c.G * window});
+                b = Tensor({c.G * window, gd.n});
+                for (index_t g = 0; g < c.G; ++g) {
+                    const Tensor ag = filtersToMatrix(weights_, c, g);
+                    for (index_t k = 0; k < kg; ++k)
+                        std::copy_n(ag.data() + k * window, window,
+                                    a.data() + (g * kg + k) * a.dim(1) +
+                                        g * window);
+                    const Tensor bg = im2col(input_, c, g);
+                    std::copy_n(bg.data(), window * gd.n,
+                                b.data() + g * window * gd.n);
+                }
             }
             Tensor out({c.K, gd.n});
             cr = accel_->sparseController().runSpMMDense(
                 a, b, out, policy_, skip_zero_b_, policy_seed_);
-            if (!bias_.empty())
-                for (index_t k = 0; k < c.K; ++k)
+            if (!bias_.empty()) {
+                for (index_t k = 0; k < c.K; ++k) {
+                    float *row = out.data() + k * gd.n;
+                    const float bk = bias_.data()[k];
                     for (index_t j = 0; j < gd.n; ++j)
-                        out.at(k, j) += bias_.at(k);
-            // Scatter back per group (col2im consumes per-group rows).
-            for (index_t g = 0; g < c.G; ++g) {
-                Tensor og({kg, gd.n});
-                for (index_t k = 0; k < kg; ++k)
-                    for (index_t j = 0; j < gd.n; ++j)
-                        og.at(k, j) = out.at(g * kg + k, j);
-                col2im(og, c, g, output_);
+                        row[j] += bk;
+                }
             }
+            // Row k of the product is output channel k whatever its
+            // group, so the whole product scatters back as one group.
+            Conv2dShape whole = c;
+            whole.G = 1;
+            col2im(out, whole, 0, output_);
         }
         break;
       }

@@ -1,5 +1,7 @@
 #include "tensor/im2col.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 
 namespace stonne {
@@ -86,16 +88,15 @@ filtersToMatrix(const Tensor &weights, const Conv2dShape &shape,
     const index_t cg = shape.cPerGroup();
     const index_t kg = shape.kPerGroup();
     const index_t cols = shape.R * shape.S * cg;
+    fatalIf(weights.dim(0) != shape.K || weights.dim(1) != cg ||
+                weights.dim(2) != shape.R || weights.dim(3) != shape.S,
+            "filtersToMatrix weight shape mismatch");
 
+    // A KCRS filter is already its (c, r, s) matrix row, and the
+    // group's filters are consecutive: one contiguous block.
     Tensor out({kg, cols});
-    const index_t k0 = group * kg;
-    for (index_t k = 0; k < kg; ++k) {
-        index_t col = 0;
-        for (index_t c = 0; c < cg; ++c)
-            for (index_t r = 0; r < shape.R; ++r)
-                for (index_t s = 0; s < shape.S; ++s, ++col)
-                    out.at(k, col) = weights.at(k0 + k, c, r, s);
-    }
+    const float *src = weights.data() + group * kg * cols;
+    std::copy(src, src + kg * cols, out.data());
     return out;
 }
 
@@ -111,17 +112,19 @@ col2im(const Tensor &result, const Conv2dShape &shape, index_t group,
     fatalIf(result.rank() != 2 || result.dim(0) != kg ||
             result.dim(1) != shape.N * xo * yo,
             "col2im result shape mismatch");
-    fatalIf(output.rank() != 4, "col2im expects a rank-4 output tensor");
+    fatalIf(output.rank() != 4 || output.dim(0) != shape.N ||
+                output.dim(1) != shape.K || output.dim(2) != xo ||
+                output.dim(3) != yo,
+            "col2im output shape mismatch");
 
+    // Row k holds batch n's (ox, oy) plane as one contiguous run, and
+    // so does output channel k0 + k of sample n.
+    const index_t plane = xo * yo;
     for (index_t k = 0; k < kg; ++k) {
-        for (index_t n = 0; n < shape.N; ++n) {
-            for (index_t ox = 0; ox < xo; ++ox) {
-                for (index_t oy = 0; oy < yo; ++oy) {
-                    const index_t col = (n * xo + ox) * yo + oy;
-                    output.at(n, k0 + k, ox, oy) = result.at(k, col);
-                }
-            }
-        }
+        const float *row = result.data() + k * result.dim(1);
+        for (index_t n = 0; n < shape.N; ++n)
+            std::copy(row + n * plane, row + (n + 1) * plane,
+                      output.data() + (n * shape.K + k0 + k) * plane);
     }
 }
 

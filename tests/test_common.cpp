@@ -221,6 +221,19 @@ TEST(Config, ParseRoundTrip)
     EXPECT_EQ(parsed.dn_bandwidth, orig.dn_bandwidth);
 }
 
+TEST(Config, TracedConfigSharesItsSilencedTwinsStructure)
+{
+    // Tracing observes a run without changing the hardware, so a traced
+    // config and its silenced() twin must key caches and checkpoints
+    // alike.
+    const HardwareConfig traced =
+        HardwareConfig::parseFile("configs/maeri_128_traced.cfg");
+    ASSERT_TRUE(traced.trace);
+    ASSERT_NE(traced.trace_sample_cycles,
+              HardwareConfig().trace_sample_cycles);
+    EXPECT_EQ(traced.structuralText(), traced.silenced().structuralText());
+}
+
 TEST(Config, ParseAcceptsCommentsAndSections)
 {
     const HardwareConfig c = HardwareConfig::parse(

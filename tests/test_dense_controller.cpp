@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/logging.hpp"
 #include "engine/accelerator.hpp"
 #include "tensor/reference.hpp"
+#include "exact_operands.hpp"
 
 namespace stonne {
 namespace {
@@ -192,6 +195,99 @@ TEST(DenseFlexible, LinearBitMatchesReference)
         acc.denseController().mapper().generateTile(layer);
     acc.denseController().runLinear(layer, tile, in, w, bias, out);
     EXPECT_TRUE(out.equals(ref::linear(in, w, bias)));
+}
+
+/**
+ * The functional kernel against the naive reference, byte for byte:
+ * every output width 1-17 (each vector tail) on 1x1 stride 1 and 2,
+ * 1x1 pad 1 (its border outputs have no tap in bounds), 3x3 pad 1,
+ * 7x7 stride 2 pad 3, grouped and depthwise layers, filter counts
+ * that are not a multiple of four, and batches. Padded layers
+ * carry an Inf weight on their corner tap: the reference skips that
+ * tap at the corner outputs, so a kernel that multiplies it by a
+ * padded zero turns those outputs into NaN.
+ */
+TEST(DenseFlexible, FunctionalKernelMatchesReferenceBytes)
+{
+    using testing_exact::fillExact;
+    using testing_exact::sameBytes;
+    struct Case {
+        const char *name;
+        index_t r, c, k, g, n, x, stride, pad;
+    };
+    const Case cases[] = {
+        {"1x1/1", 1, 5, 6, 1, 1, 3, 1, 0},
+        {"1x1/2", 1, 3, 5, 1, 2, 5, 2, 0},
+        {"1x1 pad 1", 1, 4, 5, 1, 1, 3, 1, 1},
+        {"3x3 pad 1", 3, 4, 7, 1, 1, 4, 1, 1},
+        {"7x7/2 pad 3", 7, 2, 4, 1, 1, 7, 2, 3},
+        {"grouped 3x3", 3, 4, 6, 2, 2, 3, 1, 1},
+        {"depthwise 3x3", 3, 3, 3, 3, 1, 3, 1, 1},
+    };
+    Rng rng(71);
+    for (const Case &cs : cases) {
+        for (index_t w = 1; w <= 17; ++w) {
+            // The input width whose output width is w.
+            const index_t y = (w - 1) * cs.stride + cs.r - 2 * cs.pad;
+            if (y < 1)
+                continue;
+            SCOPED_TRACE(testing::Message() << cs.name << ", width " << w);
+            Conv2dShape s;
+            s.R = cs.r;
+            s.S = cs.r;
+            s.C = cs.c;
+            s.K = cs.k;
+            s.G = cs.g;
+            s.N = cs.n;
+            s.X = cs.x;
+            s.Y = y;
+            s.stride = cs.stride;
+            s.padding = cs.pad;
+            ASSERT_EQ(s.outY(), w);
+            const LayerSpec layer = LayerSpec::convolution("conv", s);
+            ConvData d(s);
+            fillExact(d.input, rng);
+            fillExact(d.weights, rng);
+            fillExact(d.bias, rng);
+            if (s.padding > 0)
+                d.weights.at(0, 0, 0, 0) = INFINITY;
+            Accelerator acc(HardwareConfig::maeriLike(64, 16));
+            const Tile tile =
+                acc.denseController().mapper().generateTile(layer);
+            acc.denseController().runConvolution(
+                layer, tile, d.input, d.weights, d.bias, d.output);
+            const Tensor expect =
+                ref::conv2d(d.input, d.weights, d.bias, s);
+            EXPECT_TRUE(sameBytes(d.output, expect));
+            if (s.padding > 0) {
+                EXPECT_FALSE(std::isnan(d.output.at(0, 0, 0, 0)));
+            }
+        }
+    }
+
+    // GEMM and linear layers reach the same kernel as 1x1 convolutions.
+    for (index_t w = 1; w <= 17; ++w) {
+        SCOPED_TRACE(testing::Message() << "GEMM/linear, width " << w);
+        const index_t m = 1 + w % 9;
+        const index_t k = 3 + w % 5;
+        Tensor a({m, k}), b({k, w}), c({m, w});
+        fillExact(a, rng);
+        fillExact(b, rng);
+        Accelerator acc(HardwareConfig::maeriLike(64, 16));
+        const LayerSpec gl = LayerSpec::gemmLayer("g", m, w, k);
+        acc.denseController().runGemm(
+            gl, acc.denseController().mapper().generateTile(gl), a, b, c);
+        EXPECT_TRUE(sameBytes(c, ref::gemm(a, b)));
+
+        Tensor in({w, k}), bias({m}), out({w, m});
+        fillExact(in, rng);
+        fillExact(bias, rng);
+        const LayerSpec ll = LayerSpec::linear("fc", w, k, m);
+        acc.denseController().runLinear(
+            ll, acc.denseController().mapper().generateTile(ll), in, a,
+            bias, out);
+        EXPECT_TRUE(sameBytes(out, ref::linear(in, a, bias)));
+    }
 }
 
 TEST(DenseFlexible, MaxPoolMatchesReference)

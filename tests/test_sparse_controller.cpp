@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/logging.hpp"
 #include "engine/accelerator.hpp"
 #include "tensor/prune.hpp"
 #include "tensor/reference.hpp"
+#include "exact_operands.hpp"
 
 namespace stonne {
 namespace {
@@ -37,6 +40,34 @@ TEST(SparseController, SpmmBitMatchesReference)
     Tensor c({16, 10});
     acc.sparseController().runSpMMDense(a, b, c);
     EXPECT_TRUE(c.equals(ref::gemm(a, b)));
+}
+
+/**
+ * The functional SpMM against the naive reference, byte for byte, for
+ * every streaming width 1-17 (each vector tail) and wider strips, with
+ * a fully pruned row and one Inf in B.
+ */
+TEST(SparseController, SpmmMatchesReferenceBytes)
+{
+    using testing_exact::fillExact;
+    using testing_exact::sameBytes;
+    Rng rng(73);
+    for (index_t n = 1; n <= 60; n = n < 17 ? n + 1 : n + 7) {
+        SCOPED_TRACE(testing::Message() << "width " << n);
+        Tensor a({9, 24});
+        fillExact(a, rng);
+        pruneFiltersWithJitter(a, 0.5, 0.1, rng);
+        for (index_t j = 0; j < a.dim(1); ++j)
+            a.at(4, j) = 0.0f; // fully pruned row
+        Tensor b({24, n});
+        fillExact(b, rng);
+        b.at(n % 24, n / 2) = INFINITY;
+        const CsrMatrix csr = CsrMatrix::fromDense(a);
+        Accelerator acc(HardwareConfig::sigmaLike(64, 32));
+        Tensor c({9, n});
+        acc.sparseController().runSpMM(csr, b, c);
+        EXPECT_TRUE(sameBytes(c, ref::spmm(csr, b)));
+    }
 }
 
 TEST(SparseController, DenseInputStillWorks)
